@@ -1,5 +1,5 @@
 """The normalization mechanism in isolation: routing two feature clusters
-to different LayerNorms, refining prototypes by EMA, and driving the
+to different gamma/beta rows, refining prototypes by EMA, and driving the
 orthogonality penalty to zero by gradient descent."""
 
 import numpy as np

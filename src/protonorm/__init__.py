@@ -2,7 +2,7 @@
 
 A small numpy-only research library: a tape-based autodiff engine, a
 patch transformer encoder whose every normalization site routes samples
-to one of n LayerNorms by nearest-prototype gating, contrastive
+to one of n gamma/beta rows by nearest-prototype gating, contrastive
 pretraining with an orthogonality penalty on the prototypes, and the
 training/evaluation/checkpoint machinery to run distribution-shift
 experiments deterministically.
@@ -44,13 +44,10 @@ from .errors import (
     VersionError,
 )
 from .norm import (
-    LayerNormParams,
     PrototypeBank,
     ProtoNormLayer,
     ema_update,
-    gate,
     init_orthogonal,
-    layer_norm,
     orthogonality_loss,
 )
 from .tensor import (

@@ -11,9 +11,15 @@ Layout (all integers little-endian):
 
 Sections: ``config`` (canonical JSON), ``arrays`` (every parameter,
 optimizer moment, assignment counter, and the in-flight batch order, as
-named raw float64/int64 blocks), ``state`` (loop position, rng stream
-states, bank flags, metadata as canonical JSON). Every section is CRC
-checked on load; a flipped byte raises rather than loading silently.
+named raw float64/int64 blocks), ``state`` (loop position, best
+validation loss, rng stream states, per-bank frozen flag and EMA
+coefficient, metadata as canonical JSON). Every section is CRC checked on
+load; a flipped byte raises rather than loading silently.
+
+Schema version 2 stores each norm site as its arrays:
+``param.blockK.normJ.gamma`` and ``.beta`` of shape [n, d] (row i is the
+affine pair of prototype i) and ``.prototypes`` [n, d] outside plain-LN.
+Files of any other version raise ``VersionError``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .training import RngStreams, TrainState
 __all__ = ["SCHEMA_VERSION", "load_checkpoint", "save_checkpoint"]
 
 MAGIC = b"PNORMCK1"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _canonical_json(obj):
@@ -105,18 +111,13 @@ def _gather(encoder, state, meta):
             banks.append(None)
         else:
             banks.append(
-                {
-                    "frozen": layer.bank.frozen,
-                    "ema_alpha": layer.bank.ema_alpha,
-                    "skipped_updates": layer.bank.skipped_updates,
-                }
+                {"frozen": layer.bank.frozen, "ema_alpha": layer.bank.ema_alpha}
             )
     state_doc = {
         "step": state.step,
         "epoch": state.epoch,
         "batch_idx": state.batch_idx,
         "best_val": state.best_val if math.isfinite(state.best_val) else None,
-        "patience": state.patience,
         "prototype_frozen": state.prototype_frozen,
         "rng": state.streams.state(),
         "banks": banks,
@@ -250,7 +251,6 @@ def load_checkpoint(path):
         if layer.bank is not None and bank_doc is not None:
             layer.bank.frozen = bool(bank_doc["frozen"])
             layer.bank.ema_alpha = float(bank_doc["ema_alpha"])
-            layer.bank.skipped_updates = int(bank_doc["skipped_updates"])
 
     moments = {}
     for key in arrays:
@@ -267,7 +267,6 @@ def load_checkpoint(path):
         best_val=(
             math.inf if state_doc["best_val"] is None else state_doc["best_val"]
         ),
-        patience=state_doc["patience"],
         prototype_frozen=state_doc["prototype_frozen"],
     )
     return encoder, state, config_dict, meta

@@ -73,7 +73,7 @@ class StandardizeSpec:
 class Batch:
     x: np.ndarray  # [B, C, L]
     labels: np.ndarray  # int64 [B]
-    dataset_ids: np.ndarray | None  # int64 [B]
+    dataset_ids: np.ndarray  # int64 [B]
     indices: np.ndarray | None = None  # positions within the pool
 
     def __len__(self):
@@ -91,18 +91,23 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train"):
 
     Labels are remapped to a dense 0-based index (sorted original order)
     and every series is z-scored; an all-constant series comes out as all
-    zeros thanks to the epsilon guard.
+    zeros thanks to the epsilon guard. Blank lines are skipped; errors name
+    the file and the physical line. A non-finite label or value (``nan``,
+    ``inf``) is rejected, since z-scoring would spread it over the series.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        lines = [
+            (lineno, ln.rstrip("\n"))
+            for lineno, ln in enumerate(fh, start=1)
+            if ln.strip()
+        ]
     if not lines:
         raise InputError(f"{path}: empty dataset file")
 
     raw_labels = []
     rows = []
     width = None
-    for lineno, ln in enumerate(lines, start=1):
+    for lineno, ln in lines:
         if "\t" in ln:
             fields = ln.split("\t")
         elif "," in ln:
@@ -123,10 +128,17 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train"):
                 f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
             )
         label = values[0]
-        if label != int(label):
+        if not np.isfinite(label) or label != int(label):
             raise ParseError(f"{path}: line {lineno}: non-integer label {label}")
+        row = np.asarray(values[1:], dtype=np.float64)
+        finite = np.isfinite(row)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ParseError(
+                f"{path}: line {lineno}: non-finite value {row[k]} in field {k + 2}"
+            )
         raw_labels.append(int(label))
-        rows.append(np.asarray(values[1:], dtype=np.float64))
+        rows.append(row)
 
     uniq = sorted(set(raw_labels))
     remap = {orig: i for i, orig in enumerate(uniq)}
@@ -271,7 +283,7 @@ def _as_pool(pool):
     return list(pool)
 
 
-def batches(pool, batch_size, shuffle_rng=None, with_dataset_ids=True):
+def batches(pool, batch_size, shuffle_rng=None):
     """Iterate uniform batches over the union of all samples in the pool.
 
     A shuffle generator permutes the union; without one, pool order is
@@ -303,12 +315,10 @@ def batches(pool, batch_size, shuffle_rng=None, with_dataset_ids=True):
         pos += len(ds)
 
     order = shuffle_rng.permutation(total) if shuffle_rng is not None else np.arange(total)
-    yield from batches_from_order(
-        flat_series, flat_labels, flat_ids, order, batch_size, with_dataset_ids
-    )
+    yield from batches_from_order(flat_series, flat_labels, flat_ids, order, batch_size)
 
 
-def batches_from_order(series, labels, dataset_ids, order, batch_size, with_dataset_ids=True):
+def batches_from_order(series, labels, dataset_ids, order, batch_size):
     """Batches following an explicit sample order (used by the training
     loop so a checkpoint can resume mid-epoch on the same order)."""
     for start in range(0, len(order), batch_size):
@@ -317,7 +327,7 @@ def batches_from_order(series, labels, dataset_ids, order, batch_size, with_data
         yield Batch(
             x=x,
             labels=labels[sel],
-            dataset_ids=dataset_ids[sel] if with_dataset_ids else None,
+            dataset_ids=dataset_ids[sel],
             indices=sel.copy(),
         )
 

@@ -1,16 +1,18 @@
 """Prototype-gated dynamic layer normalization.
 
-A ProtoNormLayer owns n LayerNorm parameter pairs and n prototype vectors.
-Each sample's pooled features pick the nearest prototype (hard argmin over
-squared Euclidean distance, gradient-free) and the whole sample is
-normalized by that prototype's LayerNorm. Prototypes drift toward the
-features routed to them via an exponential moving average and are kept
-mutually distinct by an orthogonality penalty on the prototype matrix.
+A ProtoNormLayer owns one [n, d] gamma array, one [n, d] beta array, one
+variance epsilon and a bank of n prototype vectors: row i of gamma and
+beta is the affine pair of prototype i. Each sample's pooled features
+pick the nearest prototype (hard argmin over squared Euclidean distance,
+gradient-free) and the whole sample is normalized, then scaled and
+shifted by that prototype's rows. Prototypes drift toward the features
+routed to them via an exponential moving average and are kept mutually
+distinct by an orthogonality penalty on the prototype matrix.
 
 Routing modes:
   ``proto-gated``      nearest-prototype selection (the mechanism itself)
   ``dataset-indexed``  route by dataset of origin, ignoring prototypes
-  ``plain-LN``         a single shared LayerNorm, bank ignored entirely
+  ``plain-LN``         one shared LayerNorm (n = 1), bank ignored entirely
 """
 
 from __future__ import annotations
@@ -18,66 +20,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractError, InputError, ShapeError
-from .tensor import Tensor, concat, gather_rows, sqrt
+from .tensor import Tensor, gather_rows, sqrt
 
 MODES = ("proto-gated", "dataset-indexed", "plain-LN")
 
 __all__ = [
     "MODES",
-    "LayerNormParams",
     "PrototypeBank",
     "ProtoNormLayer",
     "ema_update",
-    "gate",
     "init_orthogonal",
-    "layer_norm",
     "orthogonality_loss",
 ]
-
-
-class LayerNormParams:
-    """One affine pair: scale gamma, shift beta, plus the variance epsilon."""
-
-    def __init__(self, gamma, beta, epsilon=1e-8):
-        if epsilon <= 0:
-            raise ConfigError(f"layer norm epsilon must be > 0, got {epsilon}")
-        self.gamma = gamma if isinstance(gamma, Tensor) else Tensor(gamma, requires_grad=True)
-        self.beta = beta if isinstance(beta, Tensor) else Tensor(beta, requires_grad=True)
-        if self.gamma.shape != self.beta.shape or self.gamma.ndim != 1:
-            raise ShapeError(
-                f"gamma/beta must be equal-length vectors, got "
-                f"{self.gamma.shape} and {self.beta.shape}"
-            )
-        self.epsilon = float(epsilon)
-
-    @classmethod
-    def create(cls, d, epsilon=1e-8):
-        return cls(
-            Tensor(np.ones(d), requires_grad=True),
-            Tensor(np.zeros(d), requires_grad=True),
-            epsilon,
-        )
-
-    @property
-    def dim(self):
-        return self.gamma.shape[0]
-
-
-def layer_norm(x, params):
-    """Normalize over the last dimension, then apply the affine pair.
-
-    Mean and population variance are taken per instance over the feature
-    axis; the whole computation is differentiable, including through the
-    statistics and through gamma/beta.
-    """
-    if x.shape[-1] != params.dim:
-        raise ShapeError(
-            f"layer_norm feature dim {x.shape[-1]} != params dim {params.dim}"
-        )
-    mu = x.mean(-1, keepdims=True)
-    var = x.var(-1, keepdims=True)
-    xhat = (x - mu) / sqrt(var + params.epsilon)
-    return params.gamma * xhat + params.beta
 
 
 def init_orthogonal(n, d, rng):
@@ -103,7 +57,7 @@ def init_orthogonal(n, d, rng):
 
 
 class PrototypeBank:
-    """n prototype rows with EMA refinement state and routing diagnostics."""
+    """n prototype rows with their EMA refinement state."""
 
     def __init__(self, P, ema_alpha=0.05, frozen=False):
         self.P = P if isinstance(P, Tensor) else Tensor(P, requires_grad=True)
@@ -115,8 +69,6 @@ class PrototypeBank:
             raise InputError("prototype matrix contains non-finite entries")
         self.ema_alpha = float(ema_alpha)
         self.frozen = bool(frozen)
-        self.assignment_counts = np.zeros(self.n, dtype=np.int64)
-        self.skipped_updates = 0
         self._pending_sum = np.zeros_like(self.P.data)
         self._pending_count = np.zeros(self.n, dtype=np.int64)
 
@@ -148,37 +100,15 @@ class PrototypeBank:
         return means
 
 
-def gate(features, bank):
-    """Index of the prototype nearest to ``features`` by squared Euclidean
-    distance. Ties break to the lowest index. Hard decision: nothing here
-    participates in differentiation."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.shape != (bank.dim,):
-        raise ShapeError(f"gate features must be [{bank.dim}], got {f.shape}")
-    if not np.isfinite(f).all():
-        raise InputError("gate features contain non-finite values")
-    d2 = ((bank.P.data - f) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
-
-
-def _gate_batch(features, bank):
-    if not np.isfinite(features).all():
-        raise InputError("gate features contain non-finite values")
-    diff = features[:, None, :] - bank.P.data[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    return np.argmin(d2, axis=1)
-
-
 def ema_update(bank, assigned_means):
     """Pull each selected prototype toward the mean of its assigned batch
     features: p <- (1 - alpha) * p + alpha * mean. Runs outside the
     differentiation graph, so call it only after backward/optimizer work
     on any graph that references the bank.
 
-    A frozen bank makes this a counted no-op rather than an error.
+    A frozen bank makes this a no-op rather than an error.
     """
     if bank.frozen:
-        bank.skipped_updates += 1
         return
     a = bank.ema_alpha
     for i, mean in assigned_means.items():
@@ -205,8 +135,8 @@ def orthogonality_loss(P):
 class ProtoNormLayer:
     """Drop-in replacement for one LayerNorm site.
 
-    Per forward pass each sample is routed, as a whole, to exactly one of
-    the layer's LayerNorm parameter pairs. The routing feature is the mean
+    Per forward pass each sample is routed, as a whole, to exactly one row
+    of the layer's gamma and beta arrays. The routing feature is the mean
     of the sample's tokens, taken outside the graph so no gradient flows
     through the gate. In train mode the routed features are staged for an
     EMA prototype update, applied by ``apply_ema`` (the training loop calls
@@ -214,50 +144,64 @@ class ProtoNormLayer:
     prototypes).
     """
 
-    def __init__(self, norms, mode, bank=None):
+    def __init__(self, gamma, beta, mode, bank=None, epsilon=1e-8):
         if mode not in MODES:
             raise ConfigError(f"unknown norm mode {mode!r}; expected one of {MODES}")
-        if not norms:
-            raise ConfigError("ProtoNormLayer needs at least one LayerNormParams")
-        d = norms[0].dim
-        if any(p.dim != d for p in norms):
-            raise ShapeError("all LayerNormParams in one layer must share dim")
+        if epsilon <= 0:
+            raise ConfigError(f"layer norm epsilon must be > 0, got {epsilon}")
+        self.gamma = gamma if isinstance(gamma, Tensor) else Tensor(gamma, requires_grad=True)
+        self.beta = beta if isinstance(beta, Tensor) else Tensor(beta, requires_grad=True)
+        if (
+            self.gamma.shape != self.beta.shape
+            or self.gamma.ndim != 2
+            or self.gamma.shape[0] < 1
+        ):
+            raise ShapeError(
+                f"gamma/beta must be equal [n, d] arrays with n >= 1, got "
+                f"{self.gamma.shape} and {self.beta.shape}"
+            )
         if mode != "plain-LN":
             if bank is None:
                 raise ContractError(f"{mode} mode requires a prototype bank")
-            if bank.n != len(norms):
+            if bank.n != self.n:
                 raise ContractError(
-                    f"bank size {bank.n} != number of LayerNorms {len(norms)}"
+                    f"bank size {bank.n} != number of gamma/beta rows {self.n}"
                 )
-            if bank.dim != d:
+            if bank.dim != self.dim:
                 raise ShapeError(
-                    f"prototype dim {bank.dim} != feature dim {d}"
+                    f"prototype dim {bank.dim} != feature dim {self.dim}"
                 )
-        self.norms = list(norms)
         self.mode = mode
         self.bank = bank
-        self.dim = d
-        self._plain_counts = np.zeros(1, dtype=np.int64) if bank is None else None
+        self.epsilon = float(epsilon)
+        self.assignment_counts = np.zeros(self.n, dtype=np.int64)
         self.last_assignments = None  # diagnostics, refreshed each forward
         self.last_features = None
 
     @classmethod
     def create(cls, d, n, mode, rng=None, ema_alpha=0.05, epsilon=1e-8):
+        bank = None
         if mode == "plain-LN":
-            return cls([LayerNormParams.create(d, epsilon)], mode)
-        if rng is None:
+            n = 1
+        elif rng is None:
             raise ContractError(f"{mode} mode needs an rng for prototype init")
-        norms = [LayerNormParams.create(d, epsilon) for _ in range(n)]
-        bank = PrototypeBank.create(n, d, rng, ema_alpha=ema_alpha)
-        return cls(norms, mode, bank)
+        else:
+            bank = PrototypeBank.create(n, d, rng, ema_alpha=ema_alpha)
+        return cls(np.ones((n, d)), np.zeros((n, d)), mode, bank, epsilon)
 
     @property
     def n(self):
-        return len(self.norms)
+        return self.gamma.shape[0]
+
+    @property
+    def dim(self):
+        return self.gamma.shape[1]
 
     def select_indices(self, x_data, dataset_ids=None):
-        """Routing decision per sample for an [B, T, d] activation array.
-        Pure numpy; reused by audits to cross-check forward()."""
+        """Routing decision per sample for an [B, T, d] activation array:
+        the nearest prototype by squared Euclidean distance to the token
+        mean, ties to the lowest index. Pure numpy; reused by audits to
+        cross-check forward()."""
         features = x_data.mean(axis=1)
         if self.mode == "plain-LN":
             idx = np.zeros(x_data.shape[0], dtype=np.int64)
@@ -275,15 +219,18 @@ class ProtoNormLayer:
                     f"[{idx.min()}, {idx.max()}]"
                 )
         else:
-            idx = _gate_batch(features, self.bank)
+            if not np.isfinite(features).all():
+                raise InputError("gate features contain non-finite values")
+            diff = features[:, None, :] - self.bank.P.data[None, :, :]
+            idx = np.argmin((diff * diff).sum(axis=2), axis=1)
         return idx, features
 
     def forward(self, x, train=False, dataset_ids=None):
         """Normalize [B, T, d]; every token of a sample goes through the
-        same selected LayerNorm.
+        same selected gamma/beta row.
 
         All three modes share one arithmetic path (plain mode simply
-        routes every sample to index 0), so ablation runs that should
+        routes every sample to row 0), so ablation runs that should
         coincide, like a singleton frozen bank versus plain LN, coincide
         bit for bit through both the forward and the backward pass.
         """
@@ -306,19 +253,10 @@ class ProtoNormLayer:
         b = x.shape[0]
         mu = x.mean(-1, keepdims=True)
         var = x.var(-1, keepdims=True)
-        eps = np.array([p.epsilon for p in self.norms])[idx].reshape(b, 1, 1)
-        xhat = (x - mu) / sqrt(var + eps)
-        gammas = concat([p.gamma.reshape(1, self.dim) for p in self.norms])
-        betas = concat([p.beta.reshape(1, self.dim) for p in self.norms])
-        g = gather_rows(gammas, idx).reshape(b, 1, self.dim)
-        s = gather_rows(betas, idx).reshape(b, 1, self.dim)
+        xhat = (x - mu) / sqrt(var + self.epsilon)
+        g = gather_rows(self.gamma, idx).reshape(b, 1, self.dim)
+        s = gather_rows(self.beta, idx).reshape(b, 1, self.dim)
         return g * xhat + s
-
-    @property
-    def assignment_counts(self):
-        if self.bank is not None:
-            return self.bank.assignment_counts
-        return self._plain_counts
 
     def apply_ema(self):
         """Consume staged features and refresh the prototypes."""
@@ -329,10 +267,7 @@ class ProtoNormLayer:
             ema_update(self.bank, means)
 
     def parameters(self):
-        out = {}
-        for i, p in enumerate(self.norms):
-            out[f"ln{i}.gamma"] = p.gamma
-            out[f"ln{i}.beta"] = p.beta
+        out = {"gamma": self.gamma, "beta": self.beta}
         if self.bank is not None:
             out["prototypes"] = self.bank.P
         return out

@@ -42,8 +42,6 @@ __all__ = [
     "stratified_subset",
 ]
 
-TRACE_COLUMNS = ("step", "lr", "loss_nt", "loss_orth", "loss_total")
-
 
 class RngStreams:
     """Independent named generators spawned from one master seed.
@@ -134,7 +132,6 @@ class TrainState:
     batch_order: np.ndarray | None = None
     moments: dict = field(default_factory=dict)  # name -> [m, v]
     best_val: float = math.inf
-    patience: int = 0
     prototype_frozen: bool = False
 
 
@@ -429,10 +426,7 @@ def pretrain(
             )
             if val_loss < state.best_val:
                 state.best_val = val_loss
-                state.patience = 0
                 checkpoint_to("best")
-            else:
-                state.patience += 1
         checkpoint_to("last")
 
     final = checkpoint_to("final")

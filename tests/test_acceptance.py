@@ -109,13 +109,13 @@ def _oracle_refs(enc, cfg):
                 "fc1": (p[f"{pre}.ffn.fc1.w"], p[f"{pre}.ffn.fc1.b"]),
                 "fc2": (p[f"{pre}.ffn.fc2.w"], p[f"{pre}.ffn.fc2.b"]),
                 "norm1": (
-                    [p[f"{pre}.norm1.ln{j}.gamma"] for j in range(cfg.n_prototypes)],
-                    [p[f"{pre}.norm1.ln{j}.beta"] for j in range(cfg.n_prototypes)],
+                    p[f"{pre}.norm1.gamma"],
+                    p[f"{pre}.norm1.beta"],
                     p[f"{pre}.norm1.prototypes"],
                 ),
                 "norm2": (
-                    [p[f"{pre}.norm2.ln{j}.gamma"] for j in range(cfg.n_prototypes)],
-                    [p[f"{pre}.norm2.ln{j}.beta"] for j in range(cfg.n_prototypes)],
+                    p[f"{pre}.norm2.gamma"],
+                    p[f"{pre}.norm2.beta"],
                     p[f"{pre}.norm2.prototypes"],
                 ),
             }
@@ -149,8 +149,8 @@ def _oracle_loss(refs, cfg, tokens1, tokens2):
         mu = h.mean(-1, keepdims=True)
         var = ((h - mu) ** 2).mean(-1, keepdims=True)
         xhat = (h - mu) / np.sqrt(var + cfg.epsilon)
-        g = np.stack(gammas)[idx][:, None, :]
-        s = np.stack(betas)[idx][:, None, :]
+        g = gammas[idx][:, None, :]
+        s = betas[idx][:, None, :]
         return g * xhat + s
 
     def encode(tokens):

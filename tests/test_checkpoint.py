@@ -73,7 +73,6 @@ def test_save_load_save_is_byte_identical(tmp_path):
 def test_load_restores_everything(tmp_path):
     enc, state, _ = trained_encoder(seed=1)
     enc.banks()[0].frozen = True
-    enc.banks()[0].skipped_updates = 3
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, enc, state, CONFIG)
     enc2, state2, _, _ = load_checkpoint(path)
@@ -81,7 +80,6 @@ def test_load_restores_everything(tmp_path):
         assert ka == kb
         assert np.array_equal(a.data, b.data)
     assert enc2.banks()[0].frozen is True
-    assert enc2.banks()[0].skipped_updates == 3
     for la, lb in zip(enc.protonorm_layers(), enc2.protonorm_layers()):
         assert np.array_equal(la.assignment_counts, lb.assignment_counts)
     assert state2.step == state.step
@@ -146,12 +144,14 @@ def test_version_mismatch_rejected(tmp_path):
     enc, state, _ = trained_encoder(seed=5)
     path = tmp_path / "f.ckpt"
     save_checkpoint(path, enc, state, CONFIG)
-    blob = bytearray(path.read_bytes())
-    blob[8] = 99  # schema version field follows the magic
-    versioned = tmp_path / "v.ckpt"
-    versioned.write_bytes(bytes(blob))
-    with pytest.raises(VersionError):
-        load_checkpoint(versioned)
+    # version 1 stored one parameter pair per LayerNorm (normJ.lnI.gamma)
+    for version in (99, 1):
+        blob = bytearray(path.read_bytes())
+        blob[8] = version  # schema version field follows the magic
+        versioned = tmp_path / "v.ckpt"
+        versioned.write_bytes(bytes(blob))
+        with pytest.raises(VersionError, match=f"version {version} unsupported"):
+            load_checkpoint(versioned)
 
 
 def test_not_a_checkpoint_rejected(tmp_path):

@@ -1,5 +1,7 @@
 """Data pipeline: parsing, standardization, synthetic generation, batching."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,31 @@ def test_load_ragged_rows_name_the_line(tmp_path):
     path.write_text("1\t0.0\t1.0\n2\t1.0\n")
     with pytest.raises(ParseError, match="line 2"):
         load_ucr_tsv(path)
+
+
+def test_load_non_finite_value_names_the_line(tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        path = tmp_path / f"{bad}.txt"
+        path.write_text(f"1 1.0 2.0 3.0 4.0\n0 1.0 2.0 {bad} 4.0\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line 2: non-finite value")):
+            load_ucr_tsv(path)
+
+
+def test_load_non_finite_label_rejected(tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        path = tmp_path / f"label-{bad}.tsv"
+        path.write_text(f"1\t0.0\t1.0\n{bad}\t1.0\t0.0\n")
+        with pytest.raises(ParseError, match="line 2: non-integer label"):
+            load_ucr_tsv(path)
+
+
+def test_load_reports_physical_line_after_blank_lines(tmp_path):
+    path = tmp_path / "gaps.tsv"
+    path.write_text("1\t0.0\t1.0\n\n\n2\t1.0\tx\n")
+    with pytest.raises(ParseError, match="line 4: non-numeric"):
+        load_ucr_tsv(path)
+    path.write_text("1\t0.0\t1.0\n\n2\t1.0\t0.0\n")
+    assert len(load_ucr_tsv(path)) == 2
 
 
 def test_load_empty_file_rejected(tmp_path):

@@ -1,0 +1,34 @@
+"""Smoke test: the narrative demos run to completion against this package.
+
+Demo 04 is left out: it runs the distribution-shift protocol that
+``test_acceptance_distribution_shift_direction`` already covers, and it
+is by far the slowest of the five.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = (
+    "01_autodiff_basics",
+    "02_prototype_gated_norm",
+    "03_pretrain_two_clusters",
+    "05_cli_pipeline",
+)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_zero(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", f"{demo}.py")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

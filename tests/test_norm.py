@@ -6,67 +6,98 @@ import pytest
 from helpers import numerical_gradient, rel_error
 from protonorm import (
     ConfigError,
+    ContractError,
     InputError,
-    LayerNormParams,
     PrototypeBank,
     ProtoNormLayer,
     ShapeError,
     Tensor,
     ema_update,
-    gate,
     init_orthogonal,
-    layer_norm,
     orthogonality_loss,
 )
 
 
-# -- layer_norm ---------------------------------------------------------
+def _ln_ref(x, gamma, beta, eps=1e-8):
+    """Plain-numpy LayerNorm over the last axis: the reference the layer's
+    normalization is checked against."""
+    mu = x.mean(-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(-1, keepdims=True)
+    return gamma * (x - mu) / np.sqrt(var + eps) + beta
+
+
+def _plain(gamma, beta):
+    """A plain-LN site with the given single affine pair."""
+    return ProtoNormLayer(np.asarray(gamma)[None], np.asarray(beta)[None], "plain-LN")
+
+
+# -- normalization arithmetic -----------------------------------------------
 
 
 def test_layer_norm_constant_input_is_zero():
-    p = LayerNormParams.create(3)
-    out = layer_norm(Tensor(np.full((2, 3), 7.0)), p)
-    assert np.array_equal(out.data, np.zeros((2, 3)))
+    x = np.full((2, 1, 3), 7.0)
+    out = _plain(np.ones(3), np.zeros(3)).forward(Tensor(x))
+    assert np.array_equal(out.data, np.zeros((2, 1, 3)))
+    assert np.array_equal(_ln_ref(x, np.ones(3), np.zeros(3)), np.zeros((2, 1, 3)))
 
 
 def test_layer_norm_hand_value():
-    p = LayerNormParams.create(3)
-    out = layer_norm(Tensor(np.array([1.0, 2.0, 3.0])), p)
+    x = np.array([[[1.0, 2.0, 3.0]]])
+    out = _plain(np.ones(3), np.zeros(3)).forward(Tensor(x))
     assert np.allclose(out.data, [-1.2247, 0.0, 1.2247], atol=1e-3)
+    assert np.allclose(_ln_ref(x, np.ones(3), np.zeros(3)), [-1.2247, 0.0, 1.2247], atol=1e-3)
 
 
 def test_layer_norm_zero_scale():
-    p = LayerNormParams(np.zeros(3), np.full(3, 5.0))
-    out = layer_norm(Tensor(np.array([1.0, 2.0, 3.0])), p)
-    assert np.array_equal(out.data, [5.0, 5.0, 5.0])
+    x = np.array([[[1.0, 2.0, 3.0]]])
+    out = _plain(np.zeros(3), np.full(3, 5.0)).forward(Tensor(x))
+    assert np.array_equal(out.data[0, 0], [5.0, 5.0, 5.0])
 
 
 def test_layer_norm_dim_mismatch():
-    p = LayerNormParams.create(4)
+    layer = _plain(np.ones(4), np.zeros(4))
     with pytest.raises(ShapeError):
-        layer_norm(Tensor(np.zeros((2, 3))), p)
+        layer.forward(Tensor(np.zeros((2, 1, 3))))
+    with pytest.raises(ShapeError):  # gamma and beta must share one [n, d] shape
+        ProtoNormLayer(np.ones((1, 4)), np.zeros((1, 3)), "plain-LN")
+    with pytest.raises(ShapeError):
+        ProtoNormLayer(np.ones(4), np.zeros(4), "plain-LN")
+    with pytest.raises(ConfigError):
+        ProtoNormLayer(np.ones((1, 4)), np.zeros((1, 4)), "plain-LN", epsilon=0.0)
+    rng = np.random.default_rng(15)
+    with pytest.raises(ContractError):  # one prototype per gamma/beta row
+        ProtoNormLayer(
+            np.ones((2, 4)), np.zeros((2, 4)), "proto-gated",
+            bank=PrototypeBank.create(3, 4, rng),
+        )
+    with pytest.raises(ShapeError):
+        ProtoNormLayer(
+            np.ones((2, 4)), np.zeros((2, 4)), "proto-gated",
+            bank=PrototypeBank.create(2, 5, rng),
+        )
 
 
 def test_layer_norm_gradients():
     rng = np.random.default_rng(0)
-    x0 = rng.normal(size=(2, 5))
+    x0 = rng.normal(size=(2, 1, 5))
     g0 = rng.normal(size=5)
     b0 = rng.normal(size=5)
-    w = rng.normal(size=(2, 5))
+    w = rng.normal(size=(2, 1, 5))
 
     def build(xa, ga, ba):
-        p = LayerNormParams(Tensor(ga, requires_grad=True), Tensor(ba, requires_grad=True))
+        layer = _plain(ga, ba)
         x = Tensor(xa, requires_grad=True)
-        return x, p, (layer_norm(x, p) * Tensor(w)).sum()
+        return x, layer, (layer.forward(x) * Tensor(w)).sum()
 
-    x, p, loss = build(x0.copy(), g0.copy(), b0.copy())
+    x, layer, loss = build(x0.copy(), g0.copy(), b0.copy())
+    assert np.allclose(loss.item(), (_ln_ref(x0, g0, b0) * w).sum(), rtol=1e-12)
     loss.backward()
-    nx = numerical_gradient(lambda a: build(a, g0.copy(), b0.copy())[2].item(), x0.copy())
-    ng = numerical_gradient(lambda a: build(x0.copy(), a, b0.copy())[2].item(), g0.copy())
-    nb = numerical_gradient(lambda a: build(x0.copy(), g0.copy(), a)[2].item(), b0.copy())
+    nx = numerical_gradient(lambda a: (_ln_ref(a, g0, b0) * w).sum(), x0.copy())
+    ng = numerical_gradient(lambda a: (_ln_ref(x0, a, b0) * w).sum(), g0.copy())
+    nb = numerical_gradient(lambda a: (_ln_ref(x0, g0, a) * w).sum(), b0.copy())
     assert rel_error(x.grad, nx) < 1e-6
-    assert rel_error(p.gamma.grad, ng) < 1e-6
-    assert rel_error(p.beta.grad, nb) < 1e-6
+    assert rel_error(layer.gamma.grad[0], ng) < 1e-6
+    assert rel_error(layer.beta.grad[0], nb) < 1e-6
 
 
 # -- gate ---------------------------------------------------------------
@@ -76,36 +107,48 @@ def _bank(P, **kw):
     return PrototypeBank(Tensor(np.asarray(P, dtype=np.float64), requires_grad=True), **kw)
 
 
+def _gated(P):
+    """A proto-gated site over the given prototype rows."""
+    bank = _bank(P)
+    return ProtoNormLayer(np.ones((bank.n, bank.dim)), np.zeros((bank.n, bank.dim)),
+                          "proto-gated", bank=bank)
+
+
+def _route(layer, features):
+    """Route one sample whose token mean is ``features`` (one token)."""
+    idx, _ = layer.select_indices(np.asarray(features, dtype=np.float64)[None, None, :])
+    return int(idx[0])
+
+
 def test_gate_singleton_bank():
-    bank = _bank([[0.0, 0.0]])
-    assert gate(np.array([100.0, -3.0]), bank) == 0
+    assert _route(_gated([[0.0, 0.0]]), [100.0, -3.0]) == 0
 
 
 def test_gate_nearest_by_inspection():
-    bank = _bank([[1.0, 0.0], [0.0, 1.0]])
-    assert gate(np.array([0.9, 0.1]), bank) == 0
+    assert _route(_gated([[1.0, 0.0], [0.0, 1.0]]), [0.9, 0.1]) == 0
 
 
 def test_gate_tie_breaks_low_index():
-    bank = _bank([[1.0, 0.0], [-1.0, 0.0]])
-    assert gate(np.array([0.0, 5.0]), bank) == 0
+    assert _route(_gated([[1.0, 0.0], [-1.0, 0.0]]), [0.0, 5.0]) == 0
 
 
 def test_gate_rejects_non_finite():
-    bank = _bank([[0.0, 0.0]])
+    layer = _gated([[0.0, 0.0]])
     with pytest.raises(InputError):
-        gate(np.array([np.nan, 1.0]), bank)
+        _route(layer, [np.nan, 1.0])
+    with pytest.raises(InputError):
+        layer.forward(Tensor(np.array([[[np.inf, 1.0]]])))
 
 
 def test_gate_invariant_to_monotone_distance_transforms():
     rng = np.random.default_rng(1)
-    bank = _bank(rng.normal(size=(5, 8)))
-    for _ in range(50):
-        f = rng.normal(size=8)
-        d2 = ((bank.P.data - f) ** 2).sum(axis=1)
-        picked = gate(f, bank)
+    layer = _gated(rng.normal(size=(5, 8)))
+    f = rng.normal(size=(50, 8))
+    picked, _ = layer.select_indices(f[:, None, :])
+    for i in range(50):
+        d2 = ((layer.bank.P.data - f[i]) ** 2).sum(axis=1)
         for transform in (lambda d: 3.0 * d, lambda d: np.sqrt(d), lambda d: d**2 + 1.0):
-            assert picked == int(np.argmin(transform(d2)))
+            assert picked[i] == int(np.argmin(transform(d2)))
 
 
 # -- forward routing ------------------------------------------------------
@@ -114,24 +157,24 @@ def test_gate_invariant_to_monotone_distance_transforms():
 def test_plain_mode_ignores_bank_contents():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(3, 4, 6)))
-    norms = [LayerNormParams.create(6)]
+    gamma, beta = Tensor(np.ones((1, 6))), Tensor(np.zeros((1, 6)))
     bank = PrototypeBank.create(1, 6, rng)
-    layer = ProtoNormLayer(norms, "plain-LN", bank=None)
-    with_bank = ProtoNormLayer(norms, "plain-LN", bank=bank)
+    layer = ProtoNormLayer(gamma, beta, "plain-LN", bank=None)
+    with_bank = ProtoNormLayer(gamma, beta, "plain-LN", bank=bank)
     ref = layer.forward(x)
     out1 = with_bank.forward(x)
     bank.P.data[:] = 1e6  # scrambling the bank must change nothing
     out2 = with_bank.forward(x)
     assert np.array_equal(ref.data, out1.data)
     assert np.array_equal(ref.data, out2.data)
-    assert np.array_equal(ref.data, layer_norm(x, norms[0]).data)
+    assert np.allclose(ref.data, _ln_ref(x.data, gamma.data[0], beta.data[0]), rtol=0, atol=1e-12)
 
 
 def test_singleton_proto_gated_equals_plain_bitwise():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(4, 5, 8)))
     gated = ProtoNormLayer.create(8, 1, "proto-gated", rng=rng)
-    plain = ProtoNormLayer([gated.norms[0]], "plain-LN")
+    plain = ProtoNormLayer(gated.gamma, gated.beta, "plain-LN")
     a = gated.forward(x)
     b = plain.forward(x)
     assert np.array_equal(a.data, b.data)
@@ -146,11 +189,7 @@ def test_two_cluster_routing_brute_force():
     xb = b_mean + 0.1 * rng.normal(size=(8, 3, d))
     x = np.concatenate([xa, xb])
     P = np.stack([a_mean + 0.05 * rng.normal(size=d), b_mean + 0.05 * rng.normal(size=d)])
-    layer = ProtoNormLayer(
-        [LayerNormParams.create(d) for _ in range(2)],
-        "proto-gated",
-        bank=_bank(P),
-    )
+    layer = _gated(P)
     layer.forward(Tensor(x))
     # brute force audit: per-sample loop over prototypes
     for i in range(16):
@@ -165,14 +204,17 @@ def test_routing_consistency_whole_sample_one_param_set():
     rng = np.random.default_rng(5)
     d = 6
     layer = ProtoNormLayer.create(d, 3, "proto-gated", rng=rng)
-    for p in layer.norms:
-        p.gamma.data = rng.normal(size=d)
-        p.beta.data = rng.normal(size=d)
+    layer.gamma.data = rng.normal(size=(3, d))
+    layer.beta.data = rng.normal(size=(3, d))
     x = Tensor(rng.normal(size=(5, 4, d)))
     out = layer.forward(x)
     for i, sel in enumerate(layer.last_assignments):
-        per_sample = layer_norm(x[i], layer.norms[int(sel)])
-        assert np.array_equal(out.data[i], per_sample.data)
+        per_sample = _ln_ref(x.data[i], layer.gamma.data[sel], layer.beta.data[sel])
+        assert np.allclose(out.data[i], per_sample, rtol=0, atol=1e-12)
+        # every token of the sample used the same row
+        single = ProtoNormLayer(layer.gamma.data[sel][None], layer.beta.data[sel][None],
+                                "plain-LN")
+        assert np.array_equal(out.data[i], single.forward(x[i : i + 1]).data[0])
 
 
 def test_dataset_indexed_routes_strictly_by_id():
@@ -182,7 +224,6 @@ def test_dataset_indexed_routes_strictly_by_id():
     ids = np.array([0, 1, 2, 0, 1, 2])
     layer.forward(x, dataset_ids=ids)
     assert np.array_equal(layer.last_assignments, ids)
-    from protonorm import ContractError
 
     with pytest.raises(ContractError):
         layer.forward(x)  # ids required
@@ -202,18 +243,18 @@ def test_forward_gradients_through_selected_affine():
 
     loss = loss_fn()
     loss.backward()
-    for p in layer.norms:
-        analytic = p.gamma.grad if p.gamma.grad is not None else np.zeros(d)
+    analytic = layer.gamma.grad
 
-        def probe(arr, p=p):
-            old = p.gamma.data
-            p.gamma.data = arr
-            val = loss_fn().item()
-            p.gamma.data = old
-            return val
+    def probe(arr):
+        old = layer.gamma.data
+        layer.gamma.data = arr
+        val = loss_fn().item()
+        layer.gamma.data = old
+        return val
 
-        numeric = numerical_gradient(probe, p.gamma.data.copy())
-        assert rel_error(analytic, numeric) < 1e-6
+    numeric = numerical_gradient(probe, layer.gamma.data.copy())
+    for j in range(2):  # per row, so an unrouted row must read exactly zero
+        assert rel_error(analytic[j], numeric[j]) < 1e-6
 
 
 # -- EMA ----------------------------------------------------------------
@@ -245,7 +286,6 @@ def test_ema_frozen_is_counted_noop():
     before = bank.P.data.copy()
     ema_update(bank, {0: np.array([1.0, 1.0])})
     assert np.array_equal(bank.P.data, before)
-    assert bank.skipped_updates == 1
 
 
 def test_ema_contraction_law():

@@ -303,6 +303,40 @@ def test_pretrain_mechanism_off_equals_plain_ln():
         ), name
 
 
+def _graph_nodes(loss):
+    """Recorded nodes (tensors holding a backward closure) reachable from
+    ``loss``, counted before backward consumes them."""
+    seen, stack, nodes = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._ctx is None:
+            continue
+        nodes += 1
+        stack.extend(t._ctx.parents)
+    return nodes
+
+
+def test_pretrain_step_graph_size_independent_of_prototype_count():
+    """Exactly one affine pair is applied per sample, so a desk-scale
+    pretraining step records the same graph at every bank size."""
+    from protonorm import batches
+    from protonorm.training import pretrain_losses
+
+    batch = next(batches(make_synthetic_clusters(2, 4, 128, np.random.default_rng(0)), 8))
+    counts = {}
+    for n in (1, 4, 32):
+        streams = RngStreams.from_seed(0)
+        enc = Encoder(EncoderConfig(n_prototypes=n), streams.params, streams.protos)
+        _, _, loss = pretrain_losses(
+            enc, batch, AugmentConfig(), NtXentConfig(), streams.augment, streams.dropout
+        )
+        counts[n] = _graph_nodes(loss)
+    assert counts[1] == counts[4] == counts[32], counts
+
+
 def test_pretrain_orth_penalty_descends_without_ema():
     cfg, enc, streams = desk_encoder(seed=5, n_prototypes=4, d_model=16, dropout=0.0)
     scramble = np.random.default_rng(9)
