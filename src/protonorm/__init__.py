@@ -60,7 +60,6 @@ from .tensor import (
     logsumexp,
     matmul,
     no_grad,
-    power,
     relu,
     softmax,
     sqrt,

@@ -12,14 +12,20 @@ Layout (all integers little-endian):
 Sections: ``config`` (canonical JSON), ``arrays`` (every parameter,
 optimizer moment, assignment counter, and the in-flight batch order, as
 named raw float64/int64 blocks), ``state`` (loop position, best
-validation loss, rng stream states, per-bank frozen flag and EMA
-coefficient, metadata as canonical JSON). Every section is CRC checked on
-load; a flipped byte raises rather than loading silently.
+validation loss, rng stream states, one frozen flag per norm site, null
+in plain-LN, and metadata, as canonical JSON). The EMA coefficient is not
+stored per bank: the embedded config's ``encoder.ema_alpha`` fixes it.
+Every section is CRC checked on load; a flipped byte raises rather than
+loading silently.
 
-Schema version 2 stores each norm site as its arrays:
+Schema version 3 stores each norm site as its arrays:
 ``param.blockK.normJ.gamma`` and ``.beta`` of shape [n, d] (row i is the
 affine pair of prototype i) and ``.prototypes`` [n, d] outside plain-LN.
 Files of any other version raise ``VersionError``.
+
+A file is written whole or not at all: ``write_atomic`` writes a
+temporary file next to the target, syncs it to disk and renames it over
+the target, so an interrupted save leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -37,10 +44,26 @@ from .encoder import Encoder, EncoderConfig
 from .errors import IntegrityError, VersionError
 from .training import RngStreams, TrainState
 
-__all__ = ["SCHEMA_VERSION", "load_checkpoint", "save_checkpoint"]
+__all__ = ["SCHEMA_VERSION", "load_checkpoint", "save_checkpoint", "write_atomic"]
 
 MAGIC = b"PNORMCK1"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+
+def write_atomic(path, data):
+    """Replace the file at ``path`` with the bytes ``data`` such that an
+    interrupt at any point leaves either the old file or the new one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _canonical_json(obj):
@@ -105,22 +128,16 @@ def _gather(encoder, state, meta):
     if state.batch_order is not None:
         arrays["loop.batch_order"] = np.asarray(state.batch_order, dtype=np.int64)
 
-    banks = []
-    for layer in encoder.protonorm_layers():
-        if layer.bank is None:
-            banks.append(None)
-        else:
-            banks.append(
-                {"frozen": layer.bank.frozen, "ema_alpha": layer.bank.ema_alpha}
-            )
     state_doc = {
         "step": state.step,
         "epoch": state.epoch,
         "batch_idx": state.batch_idx,
         "best_val": state.best_val if math.isfinite(state.best_val) else None,
-        "prototype_frozen": state.prototype_frozen,
         "rng": state.streams.state(),
-        "banks": banks,
+        "banks": [
+            None if layer.bank is None else layer.bank.frozen
+            for layer in encoder.protonorm_layers()
+        ],
         "meta": meta,
     }
     return arrays, state_doc
@@ -153,9 +170,7 @@ def save_checkpoint(path, encoder, state, config_dict=None, meta=None):
         header.append(name_b)
         header.append(struct.pack("<Q", len(payload)))
         header.append(struct.pack("<I", zlib.crc32(payload)))
-    blob = b"".join(header) + b"".join(p for _, p in sections)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, b"".join(header) + b"".join(p for _, p in sections))
     return path
 
 
@@ -247,10 +262,8 @@ def load_checkpoint(path):
 
     for i, layer in enumerate(encoder.protonorm_layers()):
         layer.assignment_counts[:] = arrays[f"counts.layer{i}"]
-        bank_doc = state_doc["banks"][i]
-        if layer.bank is not None and bank_doc is not None:
-            layer.bank.frozen = bool(bank_doc["frozen"])
-            layer.bank.ema_alpha = float(bank_doc["ema_alpha"])
+        if layer.bank is not None:
+            layer.bank.frozen = bool(state_doc["banks"][i])
 
     moments = {}
     for key in arrays:
@@ -267,6 +280,5 @@ def load_checkpoint(path):
         best_val=(
             math.inf if state_doc["best_val"] is None else state_doc["best_val"]
         ),
-        prototype_frozen=state_doc["prototype_frozen"],
     )
     return encoder, state, config_dict, meta

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import build_run_config, load_run_config
 from .data import (
     load_ucr_tsv,
@@ -57,9 +57,8 @@ def _run_dir(out, command, cfg):
 
 
 def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _write_status(run_dir, status, error=None):
@@ -277,6 +276,8 @@ def cmd_eval(cfg, model_path, out):
     def body():
         encoder, _, _, _ = load_checkpoint(model_path)
         _, _, test = _load_finetune_splits(cfg)
+        for layer in encoder.protonorm_layers():  # report this pass alone
+            layer.assignment_counts[:] = 0
         metrics = evaluate(encoder, test, cfg.finetune.batch_size)
         doc = metrics.to_dict()
         doc["assignment_histograms"] = _assignment_histograms(encoder)

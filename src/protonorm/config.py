@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -130,25 +131,6 @@ def _merge(base, override, path=""):
     return out
 
 
-def _env_overrides(env):
-    out = {}
-    if f"{ENV_PREFIX}SEED" in env:
-        out["seed"] = int(env[f"{ENV_PREFIX}SEED"])
-    if f"{ENV_PREFIX}NORM_MODE" in env:
-        out.setdefault("encoder", {})["norm_mode"] = resolve_norm_mode(
-            env[f"{ENV_PREFIX}NORM_MODE"]
-        )
-    if f"{ENV_PREFIX}PROTOTYPES" in env:
-        out.setdefault("encoder", {})["n_prototypes"] = int(
-            env[f"{ENV_PREFIX}PROTOTYPES"]
-        )
-    if f"{ENV_PREFIX}LAMBDA" in env:
-        out.setdefault("ntxent", {})["lambda_orth"] = float(env[f"{ENV_PREFIX}LAMBDA"])
-    if f"{ENV_PREFIX}FREEZE_PROTOTYPES" in env:
-        out["freeze_prototypes"] = _parse_bool(env[f"{ENV_PREFIX}FREEZE_PROTOTYPES"])
-    return out
-
-
 def _parse_bool(text):
     lowered = str(text).strip().lower()
     if lowered in ("true", "1", "yes"):
@@ -158,20 +140,37 @@ def _parse_bool(text):
     raise ConfigError(f"cannot parse boolean from {text!r}")
 
 
-def _flag_overrides(flags):
+# The fields that flags and PROTONORM_* variables may override:
+# (flag key, environment variable, config path, parser).
+OVERRIDES = (
+    ("seed", f"{ENV_PREFIX}SEED", ("seed",), int),
+    ("norm_mode", f"{ENV_PREFIX}NORM_MODE", ("encoder", "norm_mode"), resolve_norm_mode),
+    ("prototypes", f"{ENV_PREFIX}PROTOTYPES", ("encoder", "n_prototypes"), int),
+    ("lambda_orth", f"{ENV_PREFIX}LAMBDA", ("ntxent", "lambda_orth"), float),
+    ("freeze_prototypes", f"{ENV_PREFIX}FREEZE_PROTOTYPES", ("freeze_prototypes",), _parse_bool),
+)
+
+
+def _overrides(env, flags):
+    """Flag and environment overrides as one config document, a flag
+    beating its variable. A value that does not parse raises ConfigError
+    naming the flag or variable it came from."""
     out = {}
-    if flags.get("seed") is not None:
-        out["seed"] = int(flags["seed"])
-    if flags.get("norm_mode") is not None:
-        out.setdefault("encoder", {})["norm_mode"] = resolve_norm_mode(
-            flags["norm_mode"]
-        )
-    if flags.get("prototypes") is not None:
-        out.setdefault("encoder", {})["n_prototypes"] = int(flags["prototypes"])
-    if flags.get("lambda_orth") is not None:
-        out.setdefault("ntxent", {})["lambda_orth"] = float(flags["lambda_orth"])
-    if flags.get("freeze_prototypes") is not None:
-        out["freeze_prototypes"] = _parse_bool(flags["freeze_prototypes"])
+    for flag, var, path, parse in OVERRIDES:
+        if flags.get(flag) is not None:
+            name, raw = f"flag {flag}", flags[flag]
+        elif var in env:
+            name, raw = var, env[var]
+        else:
+            continue
+        try:
+            value = parse(raw)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{name}={raw!r}: {e}") from e
+        node = out
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
     return out
 
 
@@ -193,8 +192,8 @@ class DataConfig:
             raise ConfigError(
                 f"test_fraction must be in [0, 1), got {self.test_fraction}"
             )
-        if any(s < 0 for s in self.sigmas):
-            raise ConfigError("sigmas must be non-negative")
+        if not all(0.0 <= s < math.inf for s in self.sigmas):
+            raise ConfigError(f"sigmas must be finite and >= 0, got {self.sigmas}")
 
 
 @dataclass
@@ -265,8 +264,11 @@ def build_run_config(resolved):
             synthetic["length"] = enc.input_len
     data_doc = dict(resolved["data"])
     data_doc["synthetic"] = synthetic
+    seed = int(resolved["seed"])
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return RunConfig(
-        seed=int(resolved["seed"]),
+        seed=seed,
         encoder=enc,
         augment=AugmentConfig(**aug_doc),
         ntxent=NtXentConfig(**resolved["ntxent"]),
@@ -298,9 +300,7 @@ def load_run_config(path=None, flags=None, env=None):
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-    resolved = _merge(DEFAULTS, doc)
-    resolved = _merge(resolved, _env_overrides(env))
-    resolved = _merge(resolved, _flag_overrides(flags))
+    resolved = _merge(_merge(DEFAULTS, doc), _overrides(env, flags))
     resolved["encoder"]["norm_mode"] = resolve_norm_mode(
         resolved["encoder"]["norm_mode"]
     )

@@ -8,6 +8,7 @@ the prototype orthogonality penalty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,12 @@ class AugmentConfig:
                 f"max_shift_fraction must be in [0, 0.5], got {self.max_shift_fraction}"
             )
         lo, hi = self.scale_range
-        if not 0.0 < lo <= hi:
-            raise ConfigError(f"scale_range must satisfy 0 < lo <= hi, got {self.scale_range}")
-        if self.jitter_std < 0.0:
-            raise ConfigError(f"jitter_std must be >= 0, got {self.jitter_std}")
+        if not 0.0 < lo <= hi < math.inf:
+            raise ConfigError(
+                f"scale_range must satisfy 0 < lo <= hi < inf, got {self.scale_range}"
+            )
+        if not 0.0 <= self.jitter_std < math.inf:
+            raise ConfigError(f"jitter_std must be finite and >= 0, got {self.jitter_std}")
 
 
 @dataclass
@@ -48,10 +51,14 @@ class NtXentConfig:
     lambda_orth: float = 0.001
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.lambda_orth < 0.0:
-            raise ConfigError(f"lambda_orth must be >= 0, got {self.lambda_orth}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ConfigError(
+                f"temperature must be finite and > 0, got {self.temperature}"
+            )
+        if not 0.0 <= self.lambda_orth < math.inf:
+            raise ConfigError(
+                f"lambda_orth must be finite and >= 0, got {self.lambda_orth}"
+            )
 
 
 def augment_pair(x, cfg, rng):

@@ -241,7 +241,6 @@ class Encoder:
         self._init_projection(rng_params)
         self.classifier = None
         self.n_classes = None
-        self.ema_enabled = True  # experiment switch: gradient-only prototypes
 
     def _init_projection(self, rng):
         d = self.cfg.d_model
@@ -307,28 +306,6 @@ class Encoder:
             out.update(self.classifier.parameters())
         return out
 
-    def trainable_parameters(self, phase):
-        """Phase-appropriate optimizer targets. Frozen prototype banks are
-        excluded outright; the inactive head is excluded per phase."""
-        if phase not in ("pretrain", "finetune"):
-            raise ContractError(f"unknown phase {phase!r}")
-        out = {}
-        for name, t in self.parameters().items():
-            if phase == "pretrain" and name.startswith("classifier"):
-                continue
-            if phase == "finetune" and name.startswith("proj."):
-                continue
-            if name.endswith("prototypes") and self._bank_for(name).frozen:
-                continue
-            out[name] = t
-        return out
-
-    def _bank_for(self, param_name):
-        i = int(param_name.split(".")[0].removeprefix("block"))
-        tag = param_name.split(".")[1]
-        block = self.blocks[i]
-        return (block.norm1 if tag == "norm1" else block.norm2).bank
-
     def protonorm_layers(self):
         out = []
         for block in self.blocks:
@@ -344,10 +321,7 @@ class Encoder:
 
     def apply_ema_updates(self):
         for layer in self.protonorm_layers():
-            if self.ema_enabled:
-                layer.apply_ema()
-            elif layer.bank is not None:
-                layer.bank.take_pending_means()  # discard staged features
+            layer.apply_ema()
 
 
 MacCount = namedtuple("MacCount", ["core", "gating"])

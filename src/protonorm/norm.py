@@ -57,10 +57,11 @@ def init_orthogonal(n, d, rng):
 
 
 class PrototypeBank:
-    """n prototype rows with their EMA refinement state."""
+    """n prototype rows with their EMA refinement state. The bank is
+    frozen exactly when its prototype tensor takes no gradient."""
 
     def __init__(self, P, ema_alpha=0.05, frozen=False):
-        self.P = P if isinstance(P, Tensor) else Tensor(P, requires_grad=True)
+        self.P = P if isinstance(P, Tensor) else Tensor(P)
         if self.P.ndim != 2 or self.P.shape[0] < 1:
             raise ShapeError(f"prototype matrix must be [n, d], got {self.P.shape}")
         if not 0.0 < ema_alpha <= 1.0:
@@ -68,13 +69,23 @@ class PrototypeBank:
         if not np.isfinite(self.P.data).all():
             raise InputError("prototype matrix contains non-finite entries")
         self.ema_alpha = float(ema_alpha)
-        self.frozen = bool(frozen)
+        self.frozen = frozen
         self._pending_sum = np.zeros_like(self.P.data)
         self._pending_count = np.zeros(self.n, dtype=np.int64)
 
     @classmethod
     def create(cls, n, d, rng, ema_alpha=0.05):
         return cls(init_orthogonal(n, d, rng), ema_alpha=ema_alpha)
+
+    @property
+    def frozen(self):
+        """A frozen bank's prototypes get neither a gradient (not even
+        from the orthogonality penalty) nor an EMA step."""
+        return not self.P.requires_grad
+
+    @frozen.setter
+    def frozen(self, value):
+        self.P.requires_grad = not value
 
     @property
     def n(self):
@@ -147,8 +158,8 @@ class ProtoNormLayer:
     def __init__(self, gamma, beta, mode, bank=None, epsilon=1e-8):
         if mode not in MODES:
             raise ConfigError(f"unknown norm mode {mode!r}; expected one of {MODES}")
-        if epsilon <= 0:
-            raise ConfigError(f"layer norm epsilon must be > 0, got {epsilon}")
+        if not 0.0 < epsilon < np.inf:
+            raise ConfigError(f"layer norm epsilon must be finite and > 0, got {epsilon}")
         self.gamma = gamma if isinstance(gamma, Tensor) else Tensor(gamma, requires_grad=True)
         self.beta = beta if isinstance(beta, Tensor) else Tensor(beta, requires_grad=True)
         if (
@@ -242,12 +253,7 @@ class ProtoNormLayer:
         self.last_assignments = idx.copy()
         self.last_features = features.copy()
         np.add.at(self.assignment_counts, idx, 1)
-        if (
-            train
-            and self.mode == "proto-gated"
-            and self.bank is not None
-            and not self.bank.frozen
-        ):
+        if train and self.mode == "proto-gated" and not self.bank.frozen:
             self.bank.stage(features, idx)
 
         b = x.shape[0]

@@ -1,7 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The operator set is deliberately small: exactly what a patch transformer
-encoder, its contrastive losses, and AdamW need. Each operation records a
+The operator set is deliberately small: exactly what the patch transformer
+encoder, its norm sites and its contrastive and classification losses
+call, and nothing else (no negation, powers or slicing; the reflected
+operators are only ``scalar * tensor``). Each operation records a
 backward closure over its inputs; ``Tensor.backward`` walks the recorded
 graph once in reverse topological order and accumulates gradients into
 every reachable tensor with ``requires_grad``.
@@ -28,7 +30,6 @@ __all__ = [
     "log",
     "logsumexp",
     "matmul",
-    "power",
     "relu",
     "softmax",
     "sqrt",
@@ -91,10 +92,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        """A view of the same data outside the graph."""
-        return Tensor(self.data)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}{flag})"
@@ -153,13 +150,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -169,20 +161,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, key):
-        return _getitem(self, key)
 
     # -- shape and reductions ---------------------------------------------
 
@@ -289,11 +269,6 @@ def div(a, b):
     return _make(data, (a, b), bwd)
 
 
-def neg(a):
-    a = _wrap(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def exp(a):
     a = _wrap(a)
     data = np.exp(a.data)
@@ -309,14 +284,6 @@ def sqrt(a):
     a = _wrap(a)
     data = np.sqrt(a.data)
     return _make(data, (a,), lambda g: (g * 0.5 / data,))
-
-
-def power(a, p):
-    """a ** p for a constant scalar exponent p."""
-    a = _wrap(a)
-    p = float(p)
-    data = a.data**p
-    return _make(data, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
 
 
 def relu(a):
@@ -447,19 +414,6 @@ def _transpose(x, axes):
     return _make(np.ascontiguousarray(x.data.transpose(axes)), (x,), bwd)
 
 
-def _getitem(x, key):
-    """Basic (slice/int/tuple) indexing with gradient scatter."""
-    x = _wrap(x)
-    data = np.ascontiguousarray(x.data[key])
-
-    def bwd(g):
-        buf = np.zeros_like(x.data)
-        buf[key] = g
-        return (buf,)
-
-    return _make(data, (x,), bwd)
-
-
 def concat(tensors, axis=0):
     tensors = [_wrap(t) for t in tensors]
     if not tensors:
@@ -495,8 +449,9 @@ def gather_rows(x, indices):
 
 
 def softmax(x, axis=-1):
-    """Stable softmax: shifts by the (detached) max before exponentiating,
-    which leaves the value and the gradient exact."""
+    """Stable softmax: shifts by the max, taken as a constant outside the
+    graph, before exponentiating, which leaves the value and the gradient
+    exact."""
     x = _wrap(x)
     if not -x.ndim <= axis < x.ndim:
         raise InputError(f"softmax axis {axis} invalid for ndim {x.ndim}")

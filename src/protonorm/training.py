@@ -11,7 +11,7 @@ uninterrupted run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,8 +96,20 @@ class OptimConfig:
     lr_floor: float = 0.0
 
     def __post_init__(self):
-        if self.lr_peak <= 0:
-            raise ConfigError(f"lr_peak must be > 0, got {self.lr_peak}")
+        if not 0.0 < self.lr_peak < math.inf:
+            raise ConfigError(f"lr_peak must be finite and > 0, got {self.lr_peak}")
+        if not 0.0 <= self.lr_floor <= self.lr_peak:
+            raise ConfigError(
+                f"lr_floor must lie in [0, lr_peak], got {self.lr_floor}"
+            )
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be >= 0")
         if self.total_steps is not None and self.warmup_steps > self.total_steps:
@@ -109,16 +121,7 @@ class OptimConfig:
     def resolved(self, total_steps):
         if self.total_steps is not None:
             return self
-        cfg = OptimConfig(
-            lr_peak=self.lr_peak,
-            weight_decay=self.weight_decay,
-            betas=self.betas,
-            eps=self.eps,
-            warmup_steps=self.warmup_steps,
-            total_steps=total_steps,
-            lr_floor=self.lr_floor,
-        )
-        return cfg
+        return replace(self, total_steps=total_steps)
 
 
 @dataclass
@@ -132,7 +135,6 @@ class TrainState:
     batch_order: np.ndarray | None = None
     moments: dict = field(default_factory=dict)  # name -> [m, v]
     best_val: float = math.inf
-    prototype_frozen: bool = False
 
 
 def cosine_warmup_lr(step, cfg):
@@ -162,7 +164,8 @@ def adamw_step(params, state, lr, cfg):
     Weight decay shrinks the parameter multiplicatively before the
     adaptive step. Parameters whose grad is None are skipped entirely, so
     e.g. prototypes receive no decay when the orthogonality penalty is
-    off. A non-finite gradient aborts, naming the parameter.
+    off, and a frozen bank (whose prototypes take no gradient) is never
+    touched. A non-finite gradient aborts, naming the parameter.
     """
     b1, b2 = cfg.betas
     state.step += 1
@@ -413,7 +416,7 @@ def pretrain(
                 p.grad = None
             loss.backward()
             lr = cosine_warmup_lr(state.step + 1, optim)
-            adamw_step(encoder.trainable_parameters("pretrain"), state, lr, optim)
+            adamw_step(all_params, state, lr, optim)
             encoder.apply_ema_updates()
             state.batch_idx += 1
             rows.append((state.step, lr, nt_val, orth_val, total_val))
@@ -528,7 +531,6 @@ def finetune(
 
     encoder.drop_projection_head()
     encoder.set_banks_frozen(True)
-    state.prototype_frozen = True
     encoder.attach_classifier(n_classes, streams.head)
 
     subset = stratified_subset(train_ds, n_labeled, streams.subset, min_per_class)
@@ -564,7 +566,7 @@ def finetune(
                 p.grad = None
             loss.backward()
             lr = cosine_warmup_lr(state.step + 1, optim)
-            adamw_step(encoder.trainable_parameters("finetune"), state, lr, optim)
+            adamw_step(all_params, state, lr, optim)
             rows.append((state.step, lr, loss_val))
         for i, bank in enumerate(encoder.banks()):
             if not np.array_equal(bank.P.data, proto_snapshot[f"bank{i}"]):

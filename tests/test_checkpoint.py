@@ -144,14 +144,36 @@ def test_version_mismatch_rejected(tmp_path):
     enc, state, _ = trained_encoder(seed=5)
     path = tmp_path / "f.ckpt"
     save_checkpoint(path, enc, state, CONFIG)
-    # version 1 stored one parameter pair per LayerNorm (normJ.lnI.gamma)
-    for version in (99, 1):
+    # version 1 stored one parameter pair per LayerNorm (normJ.lnI.gamma);
+    # version 2 stored each bank as {"frozen", "ema_alpha"}, which would
+    # read as a truthy frozen flag here
+    for version in (99, 1, 2):
         blob = bytearray(path.read_bytes())
         blob[8] = version  # schema version field follows the magic
         versioned = tmp_path / "v.ckpt"
         versioned.write_bytes(bytes(blob))
         with pytest.raises(VersionError, match=f"version {version} unsupported"):
             load_checkpoint(versioned)
+
+
+def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch):
+    enc, state, _ = trained_encoder(seed=6)
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(path, enc, state, CONFIG)
+    before = path.read_bytes()
+    enc.pos_embed.data = enc.pos_embed.data + 1.0  # the rewrite would differ
+
+    def fail(fd):
+        raise OSError("disk gone mid-write")
+
+    monkeypatch.setattr("protonorm.checkpoint.os.fsync", fail)
+    with pytest.raises(OSError, match="mid-write"):
+        save_checkpoint(path, enc, state, CONFIG)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
+    enc2, _, _, _ = load_checkpoint(path)
+    assert not np.array_equal(enc2.pos_embed.data, enc.pos_embed.data)
 
 
 def test_not_a_checkpoint_rejected(tmp_path):

@@ -170,6 +170,11 @@ def test_finetune_and_eval_metrics_passthrough(tmp_path):
     direct = evaluate(encoder, test, cfg.finetune.batch_size)
     assert ev_metrics["accuracy"] == direct.accuracy
     assert ev_metrics["macro_f1"] == direct.macro_f1
+    # eval reports the routing of its own pass, not the model's history
+    histograms = ev_metrics["assignment_histograms"]
+    assert len(histograms) == 2 * cfg.encoder.n_layers
+    for layer, counts in histograms.items():
+        assert sum(counts) == len(test), layer
 
 
 def test_norm_mode_flag_flips_only_that_field(tmp_path):
@@ -192,6 +197,57 @@ def test_env_and_flag_precedence(tmp_path):
     flag_wins = load_run_config(cfg_path, flags={"seed": 7}, env=env)
     assert flag_wins.seed == 7
     assert flag_wins.ntxent.lambda_orth == 0.5  # env still applies where no flag
+
+
+@pytest.mark.parametrize(
+    "var, value",
+    [
+        ("PROTONORM_SEED", "abc"),
+        ("PROTONORM_PROTOTYPES", "2.5"),
+        ("PROTONORM_LAMBDA", "lots"),
+        ("PROTONORM_NORM_MODE", "batch"),
+        ("PROTONORM_FREEZE_PROTOTYPES", "maybe"),
+    ],
+)
+def test_unparsable_env_override_names_the_variable(tmp_path, monkeypatch, capsys, var, value):
+    cfg_path = desk_config(tmp_path)
+    with pytest.raises(ConfigError, match=var):
+        load_run_config(cfg_path, env={var: value})
+    monkeypatch.setenv(var, value)
+    assert run(["generate", "--config", cfg_path, "--out", tmp_path / "r"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and var in err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("optim", "lr_peak", float("nan")),
+        ("optim", "weight_decay", float("nan")),
+        ("optim", "weight_decay", -1.0),
+        ("optim", "eps", float("nan")),
+        ("optim", "lr_floor", float("nan")),
+        ("optim", "betas", [float("nan"), 0.999]),
+        ("ntxent", "temperature", float("nan")),
+        ("ntxent", "lambda_orth", float("nan")),
+        ("ntxent", "lambda_orth", float("inf")),
+        ("augment", "jitter_std", float("nan")),
+        ("data", "sigmas", [0.1, float("nan")]),
+    ],
+)
+def test_non_finite_or_out_of_range_config_rejected(tmp_path, section, key, value):
+    doc = json.loads(desk_config(tmp_path).read_text())
+    doc.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity are valid input JSON
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(path, env={})
+
+
+def test_negative_seed_rejected_before_any_run_directory(tmp_path, monkeypatch):
+    monkeypatch.setenv("PROTONORM_SEED", "-1")
+    assert run(["generate", "--config", desk_config(tmp_path), "--out", tmp_path / "r"]) == 2
+    assert not (tmp_path / "r").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -32,3 +32,5 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # demo outputs go to temporary directories that the demo removes
+    assert not [p for p in os.listdir(tmp_path) if p.startswith("protonorm-demo-")]

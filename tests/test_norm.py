@@ -214,7 +214,7 @@ def test_routing_consistency_whole_sample_one_param_set():
         # every token of the sample used the same row
         single = ProtoNormLayer(layer.gamma.data[sel][None], layer.beta.data[sel][None],
                                 "plain-LN")
-        assert np.array_equal(out.data[i], single.forward(x[i : i + 1]).data[0])
+        assert np.array_equal(out.data[i], single.forward(Tensor(x.data[i : i + 1])).data[0])
 
 
 def test_dataset_indexed_routes_strictly_by_id():

@@ -342,12 +342,33 @@ def test_pretrain_orth_penalty_descends_without_ema():
     scramble = np.random.default_rng(9)
     for bank in enc.banks():
         bank.P.data = scramble.normal(size=bank.P.shape) / math.sqrt(bank.dim)
-    enc.ema_enabled = False
+    enc.apply_ema_updates = lambda: None  # prototypes move by gradient alone
     pool = tiny_pool(n=60)
     result = run_pretrain(enc, streams, pool, seed=5, epochs=7, lam=0.01, batch=8)
     orth = [r[3] for r in result.rows[:100]]
     assert len(orth) >= 100
     assert all(a > b for a, b in zip(orth, orth[1:]))
+
+
+def test_pretrain_frozen_banks_take_no_gradient():
+    """Banks frozen from the start stay out of the gradient altogether,
+    orthogonality penalty included, and do not move."""
+    cfg, enc, streams = desk_encoder(seed=8, n_prototypes=4, d_model=16)
+    scramble = np.random.default_rng(10)
+    for bank in enc.banks():
+        bank.P.data = scramble.normal(size=bank.P.shape)  # penalty well above 0
+    enc.set_banks_frozen(True)
+    before = {k: t.data.copy() for k, t in enc.parameters().items()}
+    result = run_pretrain(enc, streams, tiny_pool(), seed=8, lam=0.01, stop_after_steps=1)
+    assert len(result.rows) == 1 and result.rows[0][3] > 1.0
+    params = enc.parameters()
+    protos = [k for k in params if k.endswith(".prototypes")]
+    assert len(protos) == 2 * cfg.n_layers
+    for k in protos:
+        assert params[k].grad is None, k
+        assert np.array_equal(params[k].data, before[k]), k
+    assert params["block0.norm1.gamma"].grad is not None
+    assert not any(k.endswith(".prototypes") for k in result.state.moments)
 
 
 def test_pretrain_divergence_aborts(tmp_path):
