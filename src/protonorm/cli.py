@@ -12,8 +12,8 @@ sweep's runtime column is the one timed, hence non-deterministic, field).
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
+import io
 import json
 import os
 import sys
@@ -21,10 +21,8 @@ import time
 import traceback
 from dataclasses import replace
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
-from .config import build_run_config, load_run_config
+from .config import OVERRIDES, _merge, _overrides, build_run_config, load_run_config
 from .data import (
     load_ucr_tsv,
     make_shifted_variant,
@@ -38,16 +36,18 @@ from .errors import ConfigError, ProtoNormError
 from .training import (
     RngStreams,
     TrainState,
+    _derived_rng,
     evaluate,
     finetune,
     pretrain,
 )
 
 TRACE_HEADER = ("step", "lr", "loss_nt", "loss_orth", "loss_total")
+SWEEP_HEADER = ("axis", "value", "accuracy", "macro_f1", "param_count", "runtime_s", "status")
 
-
-def _derived_rng(seed, *tags):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *tags])))
+# Each sweep axis and the override flag that sets it; sigma changes only
+# the pretraining pool, not the config.
+SWEEP_AXES = {"n_prototypes": "prototypes", "sigma": None, "lambda": "lambda_orth"}
 
 
 def _run_dir(out, command, cfg):
@@ -85,12 +85,12 @@ def _finish_run(run_dir, body):
     return run_dir
 
 
-def _write_trace(path, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for step, lr, nt, orth, total in rows:
-            writer.writerow([step, repr(lr), repr(nt), repr(orth), repr(total)])
+def _write_csv(path, header, rows):
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 def _assignment_histograms(encoder):
@@ -100,12 +100,38 @@ def _assignment_histograms(encoder):
     }
 
 
-def _build_encoder(cfg):
+def _pretrain(cfg, pool, val_pool, **outputs):
+    """Pretrain a fresh encoder on the pool; ``outputs`` (``out_dir``,
+    ``config_dict``) are passed on to make it write checkpoints."""
     streams = RngStreams.from_seed(cfg.seed)
     encoder = Encoder(cfg.encoder, streams.params, streams.protos)
     if cfg.freeze_prototypes:
         encoder.set_banks_frozen(True)
-    return encoder, streams
+    return pretrain(
+        pool,
+        encoder,
+        cfg.augment,
+        cfg.ntxent,
+        cfg.optim,
+        epochs=cfg.pretrain.epochs,
+        batch_size=cfg.pretrain.batch_size,
+        seed=cfg.seed,
+        state=TrainState(streams=streams),
+        val_pool=val_pool,
+        **outputs,
+    )
+
+
+def _finetune(cfg, encoder, splits):
+    return finetune(
+        splits,
+        encoder,
+        cfg.optim,
+        epochs=cfg.finetune.epochs,
+        batch_size=cfg.finetune.batch_size,
+        n_labeled=cfg.finetune.n_labeled,
+        seed=cfg.seed,
+    )
 
 
 def _load_pretrain_pool(cfg):
@@ -210,28 +236,23 @@ def cmd_pretrain(cfg, out):
 
     def body():
         train_pool, val_pool = _load_pretrain_pool(cfg)
-        encoder, streams = _build_encoder(cfg)
-        result = pretrain(
-            train_pool,
-            encoder,
-            cfg.augment,
-            cfg.ntxent,
-            cfg.optim,
-            epochs=cfg.pretrain.epochs,
-            batch_size=cfg.pretrain.batch_size,
-            seed=cfg.seed,
-            state=TrainState(streams=streams),
-            val_pool=val_pool,
-            out_dir=run_dir,
-            config_dict=cfg.resolved,
+        result = _pretrain(
+            cfg, train_pool, val_pool, out_dir=run_dir, config_dict=cfg.resolved
         )
-        _write_trace(os.path.join(run_dir, "trace.csv"), result.rows)
+        _write_csv(
+            os.path.join(run_dir, "trace.csv"),
+            TRACE_HEADER,
+            [
+                [step, repr(lr), repr(nt), repr(orth), repr(total)]
+                for step, lr, nt, orth, total in result.rows
+            ],
+        )
         _write_json(
             os.path.join(run_dir, "pretrain_summary.json"),
             {
                 "steps": result.state.step,
                 "final_loss": result.rows[-1][4] if result.rows else None,
-                "assignment_histograms": _assignment_histograms(encoder),
+                "assignment_histograms": _assignment_histograms(result.encoder),
                 "best_checkpoint": result.best_checkpoint,
                 "final_checkpoint": result.final_checkpoint,
             },
@@ -245,16 +266,7 @@ def cmd_finetune(cfg, checkpoint_path, out):
 
     def body():
         encoder, _, _, _ = load_checkpoint(checkpoint_path)
-        splits = _load_finetune_splits(cfg)
-        result = finetune(
-            splits,
-            encoder,
-            cfg.optim,
-            epochs=cfg.finetune.epochs,
-            batch_size=cfg.finetune.batch_size,
-            n_labeled=cfg.finetune.n_labeled,
-            seed=cfg.seed,
-        )
+        result = _finetune(cfg, encoder, _load_finetune_splits(cfg))
         model_path = os.path.join(run_dir, "model.ckpt")
         save_checkpoint(
             model_path,
@@ -287,14 +299,10 @@ def cmd_eval(cfg, model_path, out):
 
 
 def _leg_config(cfg, axis, value):
-    resolved = copy.deepcopy(cfg.resolved)
-    if axis == "n_prototypes":
-        resolved["encoder"]["n_prototypes"] = int(value)
-    elif axis == "lambda":
-        resolved["ntxent"]["lambda_orth"] = float(value)
-    elif axis != "sigma":  # sigma only changes the pool, not the config
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    return build_run_config(resolved)
+    flag = SWEEP_AXES[axis]
+    if flag is None:
+        return cfg
+    return build_run_config(_merge(cfg.resolved, _overrides({}, {flag: value})))
 
 
 def _run_leg(leg_cfg, axis, value):
@@ -305,12 +313,12 @@ def _run_leg(leg_cfg, axis, value):
         std_rng = _derived_rng(leg_cfg.seed, 1)
         source = load_ucr_tsv(leg_cfg.data.source_path, name="source", dataset_id=0)
         source = standardize_dataset(source, leg_cfg.standardize, std_rng)
-        variant = make_shifted_variant(
-            source, float(value), _derived_rng(leg_cfg.seed, 12), dataset_id=1
-        )
         split_rng = _derived_rng(leg_cfg.seed, 2)
         src_train, src_test = train_val_split(
             source, leg_cfg.data.test_fraction, split_rng
+        )
+        variant = make_shifted_variant(
+            src_train, float(value), _derived_rng(leg_cfg.seed, 12), dataset_id=1
         )
         train_pool = [src_train, variant]
         val_pool = None
@@ -321,29 +329,8 @@ def _run_leg(leg_cfg, axis, value):
     else:
         train_pool, val_pool = _load_pretrain_pool(leg_cfg)
         splits = _load_finetune_splits(leg_cfg)
-    encoder, streams = _build_encoder(leg_cfg)
-    pretrain(
-        train_pool,
-        encoder,
-        leg_cfg.augment,
-        leg_cfg.ntxent,
-        leg_cfg.optim,
-        epochs=leg_cfg.pretrain.epochs,
-        batch_size=leg_cfg.pretrain.batch_size,
-        seed=leg_cfg.seed,
-        state=TrainState(streams=streams),
-        val_pool=val_pool,
-    )
-    result = finetune(
-        splits,
-        encoder,
-        leg_cfg.optim,
-        epochs=leg_cfg.finetune.epochs,
-        batch_size=leg_cfg.finetune.batch_size,
-        n_labeled=leg_cfg.finetune.n_labeled,
-        seed=leg_cfg.seed,
-    )
-    return result.metrics
+    encoder = _pretrain(leg_cfg, train_pool, val_pool).encoder
+    return _finetune(leg_cfg, encoder, splits).metrics
 
 
 def cmd_sweep(cfg, axis, out):
@@ -381,12 +368,7 @@ def cmd_sweep(cfg, axis, out):
                         f"failed: {type(e).__name__}: {e}",
                     ]
                 )
-        with open(os.path.join(run_dir, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["axis", "value", "accuracy", "macro_f1", "param_count", "runtime_s", "status"]
-            )
-            writer.writerows(rows)
+        _write_csv(os.path.join(run_dir, "sweep.csv"), SWEEP_HEADER, rows)
 
     return _finish_run(run_dir, body)
 
@@ -437,7 +419,7 @@ def build_parser():
     _add_common_flags(p)
 
     p = sub.add_parser("sweep", help="run a pipeline per axis value")
-    p.add_argument("axis", choices=["n_prototypes", "sigma", "lambda"])
+    p.add_argument("axis", choices=list(SWEEP_AXES))
     _add_common_flags(p)
 
     return parser
@@ -445,13 +427,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    flags = {
-        "seed": args.seed,
-        "norm_mode": args.norm_mode,
-        "prototypes": args.prototypes,
-        "lambda_orth": args.lambda_orth,
-        "freeze_prototypes": args.freeze_prototypes,
-    }
+    flags = {flag: getattr(args, flag) for flag, *_ in OVERRIDES}
     out = args.out or os.environ.get("PROTONORM_OUT") or "runs"
     try:
         cfg = load_run_config(args.config, flags=flags)

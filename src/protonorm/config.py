@@ -15,7 +15,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass
 
 from .contrastive import AugmentConfig, NtXentConfig
 from .data import StandardizeSpec
@@ -32,61 +33,6 @@ __all__ = [
 ]
 
 ENV_PREFIX = "PROTONORM_"
-
-DEFAULTS = {
-    "seed": 0,
-    "encoder": {
-        "input_len": 128,
-        "channels": 1,
-        "patch_size": 16,
-        "d_model": 64,
-        "n_heads": 4,
-        "n_layers": 3,
-        "n_prototypes": 4,
-        "dropout": 0.15,
-        "norm_mode": "proto-gated",
-        "ema_alpha": 0.05,
-        "epsilon": 1e-8,
-    },
-    "augment": {
-        "max_shift_fraction": 0.2,
-        "scale_range": [0.8, 1.2],
-        "jitter_std": 0.05,
-    },
-    "ntxent": {"temperature": 0.2, "lambda_orth": 0.001},
-    "optim": {
-        "lr_peak": 1e-3,
-        "weight_decay": 1e-5,
-        "betas": [0.9, 0.999],
-        "eps": 1e-8,
-        "warmup_steps": 2000,
-        "total_steps": None,
-        "lr_floor": 0.0,
-    },
-    "standardize": {
-        "target_len": None,  # falls back to encoder.input_len
-        "target_channels": None,  # falls back to encoder.channels
-        "replication_noise_std": 0.01,
-    },
-    "data": {
-        "pretrain_paths": [],
-        "finetune_train_path": None,
-        "finetune_test_path": None,
-        "val_fraction": 0.2,
-        "test_fraction": 0.2,
-        "source_path": None,
-        "sigmas": [0.1, 0.2, 0.3],
-        "synthetic": None,
-    },
-    "pretrain": {"epochs": 5, "batch_size": 32},
-    "finetune": {"epochs": 10, "batch_size": 16, "n_labeled": "all"},
-    "freeze_prototypes": False,
-    "sweep": {
-        "n_prototypes": [4, 8, 16, 32, 64],
-        "sigma": [0.1, 0.2, 0.3],
-        "lambda": [0.001, 0.01, 0.1, 1.0],
-    },
-}
 
 SYNTHETIC_DEFAULTS = {
     "k_datasets": 2,
@@ -124,7 +70,9 @@ def _merge(base, override, path=""):
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be an object, got {value!r}")
             out[key] = _merge(base[key], value, where)
         else:
             out[key] = copy.deepcopy(value)
@@ -176,14 +124,14 @@ def _overrides(env, flags):
 
 @dataclass
 class DataConfig:
-    pretrain_paths: list
-    finetune_train_path: str | None
-    finetune_test_path: str | None
-    val_fraction: float
-    test_fraction: float
-    source_path: str | None
-    sigmas: list
-    synthetic: dict | None
+    pretrain_paths: tuple = ()
+    finetune_train_path: str | None = None
+    finetune_test_path: str | None = None
+    val_fraction: float = 0.2
+    test_fraction: float = 0.2
+    source_path: str | None = None
+    sigmas: tuple = (0.1, 0.2, 0.3)
+    synthetic: dict | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.val_fraction < 1.0:
@@ -198,8 +146,8 @@ class DataConfig:
 
 @dataclass
 class PhaseConfig:
-    epochs: int
-    batch_size: int
+    epochs: int = 5
+    batch_size: int = 32
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -208,7 +156,9 @@ class PhaseConfig:
 
 @dataclass
 class FinetunePhaseConfig(PhaseConfig):
-    n_labeled: object  # int or "all"
+    epochs: int = 10
+    batch_size: int = 16
+    n_labeled: int | str = "all"
 
     def __post_init__(self):
         super().__post_init__()
@@ -218,6 +168,36 @@ class FinetunePhaseConfig(PhaseConfig):
             raise ConfigError(
                 f"n_labeled must be a positive int or 'all', got {self.n_labeled!r}"
             )
+
+
+# Each section of the run document and the dataclass that declares its
+# fields, their types and their defaults.
+SECTIONS = {
+    "encoder": EncoderConfig,
+    "augment": AugmentConfig,
+    "ntxent": NtXentConfig,
+    "optim": OptimConfig,
+    "standardize": StandardizeSpec,
+    "data": DataConfig,
+    "pretrain": PhaseConfig,
+    "finetune": FinetunePhaseConfig,
+}
+
+DEFAULTS = {
+    "seed": 0,
+    **{name: asdict(cls()) for name, cls in SECTIONS.items() if cls is not StandardizeSpec},
+    "standardize": {
+        "target_len": None,  # falls back to encoder.input_len
+        "target_channels": None,  # falls back to encoder.channels
+        "replication_noise_std": StandardizeSpec.replication_noise_std,
+    },
+    "freeze_prototypes": False,
+    "sweep": {
+        "n_prototypes": [4, 8, 16, 32, 64],
+        "sigma": [0.1, 0.2, 0.3],
+        "lambda": [0.001, 0.01, 0.1, 1.0],
+    },
+}
 
 
 @dataclass
@@ -244,40 +224,58 @@ def config_digest(resolved):
     return hashlib.sha256(blob).hexdigest()
 
 
+# The value types a float or tuple field takes: a JSON document may write
+# a float as an int, and it has lists where the dataclasses hold tuples.
+_ACCEPTED = {float: (int, float), tuple: (list, tuple)}
+
+
+def _check_type(where, value, hint):
+    """Raise ConfigError unless ``value`` fits the annotation ``hint``: an
+    int field takes no bool or float, a float field also takes an int, a
+    tuple field takes a JSON list, and ``X | None`` also takes None."""
+    kinds = typing.get_args(hint) or (hint,)
+    if not any(
+        isinstance(value, bool) == (kind is bool)
+        and isinstance(value, _ACCEPTED.get(kind, kind))
+        for kind in kinds
+    ):
+        raise ConfigError(f"{where} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+
+
+def _section(name, cls, doc):
+    """The dataclass of one section, each value checked against its
+    field's annotation first; a tuple field gets its list as a tuple."""
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        _check_type(f"{name}.{key}", value, hints[key])
+    return cls(**{k: tuple(v) if hints[k] is tuple else v for k, v in doc.items()})
+
+
 def build_run_config(resolved):
-    """Construct a validated RunConfig from an already-merged document."""
-    enc = EncoderConfig(**{**resolved["encoder"], "norm_mode": resolve_norm_mode(resolved["encoder"]["norm_mode"])})
-    std_doc = resolved["standardize"]
-    standardize = StandardizeSpec(
-        target_len=std_doc["target_len"] or enc.input_len,
-        target_channels=std_doc["target_channels"] or enc.channels,
-        replication_noise_std=std_doc["replication_noise_std"],
-    )
-    aug_doc = dict(resolved["augment"])
-    aug_doc["scale_range"] = tuple(aug_doc["scale_range"])
-    optim_doc = dict(resolved["optim"])
-    optim_doc["betas"] = tuple(optim_doc["betas"])
-    synthetic = resolved["data"]["synthetic"]
-    if synthetic is not None:
-        synthetic = _merge(SYNTHETIC_DEFAULTS, synthetic, "data.synthetic")
-        if synthetic["length"] is None:
-            synthetic["length"] = enc.input_len
-    data_doc = dict(resolved["data"])
-    data_doc["synthetic"] = synthetic
-    seed = int(resolved["seed"])
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    """Construct a validated RunConfig from an already-merged document,
+    whose norm mode it makes canonical. A wrongly typed value is a
+    ConfigError naming its ``section.key``."""
+    resolved = copy.deepcopy(resolved)
+    _check_type("seed", resolved["seed"], int)
+    _check_type("freeze_prototypes", resolved["freeze_prototypes"], bool)
+    if resolved["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
+    enc = resolved["encoder"]
+    _check_type("encoder.norm_mode", enc["norm_mode"], str)
+    enc["norm_mode"] = resolve_norm_mode(enc["norm_mode"])
+    docs = {name: dict(resolved[name]) for name in SECTIONS}
+    std, data = docs["standardize"], docs["data"]
+    for key, fallback in (("target_len", "input_len"), ("target_channels", "channels")):
+        if std[key] is None:
+            std[key] = enc[fallback]
+    if isinstance(data["synthetic"], dict):
+        data["synthetic"] = _merge(SYNTHETIC_DEFAULTS, data["synthetic"], "data.synthetic")
+        if data["synthetic"]["length"] is None:
+            data["synthetic"]["length"] = enc["input_len"]
     return RunConfig(
-        seed=seed,
-        encoder=enc,
-        augment=AugmentConfig(**aug_doc),
-        ntxent=NtXentConfig(**resolved["ntxent"]),
-        optim=OptimConfig(**optim_doc),
-        standardize=standardize,
-        data=DataConfig(**data_doc),
-        pretrain=PhaseConfig(**resolved["pretrain"]),
-        finetune=FinetunePhaseConfig(**resolved["finetune"]),
-        freeze_prototypes=bool(resolved["freeze_prototypes"]),
+        seed=resolved["seed"],
+        **{name: _section(name, cls, docs[name]) for name, cls in SECTIONS.items()},
+        freeze_prototypes=resolved["freeze_prototypes"],
         sweep=resolved["sweep"],
         resolved=resolved,
     )
@@ -300,8 +298,4 @@ def load_run_config(path=None, flags=None, env=None):
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-    resolved = _merge(_merge(DEFAULTS, doc), _overrides(env, flags))
-    resolved["encoder"]["norm_mode"] = resolve_norm_mode(
-        resolved["encoder"]["norm_mode"]
-    )
-    return build_run_config(resolved)
+    return build_run_config(_merge(_merge(DEFAULTS, doc), _overrides(env, flags)))

@@ -50,10 +50,6 @@ class Dataset:
         return len(self.series)
 
     @property
-    def n_classes(self):
-        return int(self.labels.max()) + 1 if len(self.labels) else 0
-
-    @property
     def shape(self):
         return self.series[0].shape if self.series else None
 
@@ -292,30 +288,10 @@ def batches(pool, batch_size, shuffle_rng=None):
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    datasets = _as_pool(pool)
-    total = sum(len(ds) for ds in datasets)
-    if total == 0:
-        raise InputError("empty pool: no samples to batch")
-    shape = datasets[0].shape
-    for ds in datasets:
-        if ds.shape != shape:
-            raise ShapeError(
-                f"pool is not homogeneous: {ds.name} has shape {ds.shape}, "
-                f"expected {shape}"
-            )
-    flat_series = []
-    flat_labels = np.empty(total, dtype=np.int64)
-    flat_ids = np.empty(total, dtype=np.int64)
-    pos = 0
-    for ds in datasets:
-        for s in ds.series:
-            flat_series.append(s)
-        flat_labels[pos : pos + len(ds)] = ds.labels
-        flat_ids[pos : pos + len(ds)] = ds.dataset_id
-        pos += len(ds)
-
-    order = shuffle_rng.permutation(total) if shuffle_rng is not None else np.arange(total)
-    yield from batches_from_order(flat_series, flat_labels, flat_ids, order, batch_size)
+    series, labels, ids = flatten_pool(pool)
+    n = len(series)
+    order = shuffle_rng.permutation(n) if shuffle_rng is not None else np.arange(n)
+    yield from batches_from_order(series, labels, ids, order, batch_size)
 
 
 def batches_from_order(series, labels, dataset_ids, order, batch_size):
@@ -333,15 +309,21 @@ def batches_from_order(series, labels, dataset_ids, order, batch_size):
 
 
 def flatten_pool(pool):
-    """(series list, labels, dataset_ids) for the union of a pool."""
+    """(series list, labels, dataset_ids) for the union of a pool, whose
+    datasets must all hold series of one shape."""
     datasets = _as_pool(pool)
     series, labels, ids = [], [], []
     for ds in datasets:
+        if series and len(ds) and ds.shape != series[0].shape:
+            raise ShapeError(
+                f"pool is not homogeneous: {ds.name} has shape {ds.shape}, "
+                f"expected {series[0].shape}"
+            )
         series.extend(ds.series)
         labels.append(ds.labels)
         ids.append(np.full(len(ds), ds.dataset_id, dtype=np.int64))
     if not series:
-        raise InputError("empty pool")
+        raise InputError("empty pool: no samples to batch")
     return series, np.concatenate(labels), np.concatenate(ids)
 
 

@@ -289,10 +289,9 @@ class PretrainResult:
     final_checkpoint: str | None = None
 
 
-def _val_rng(seed, epoch):
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, epoch, 0x56414C]))
-    )
+def _derived_rng(seed, *tags):
+    """A generator of its own for one purpose, keyed by the seed and tags."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *tags])))
 
 
 def _encode_views(encoder, batch, aug_cfg, nt_cfg, aug_rng, dropout_rng, train):
@@ -322,7 +321,7 @@ def pretrain_losses(encoder, batch, aug_cfg, nt_cfg, aug_rng, dropout_rng, train
 
 
 def _validation_loss(encoder, val_pool, aug_cfg, nt_cfg, seed, epoch, batch_size):
-    rng = _val_rng(seed, epoch)
+    rng = _derived_rng(seed, epoch, 0x56414C)
     losses = []
     with no_grad():
         for batch in batches(val_pool, batch_size):
@@ -505,8 +504,6 @@ def finetune(
     batch_size,
     n_labeled,
     seed,
-    state=None,
-    min_per_class=5,
 ):
     """Supervised fine-tuning with frozen prototype banks.
 
@@ -518,8 +515,7 @@ def finetune(
     every epoch.
     """
     train_ds, val_ds, test_ds = splits
-    if state is None:
-        state = TrainState(streams=RngStreams.from_seed(seed))
+    state = TrainState(streams=RngStreams.from_seed(seed))
     streams = state.streams
     n_classes = int(
         max(
@@ -533,7 +529,7 @@ def finetune(
     encoder.set_banks_frozen(True)
     encoder.attach_classifier(n_classes, streams.head)
 
-    subset = stratified_subset(train_ds, n_labeled, streams.subset, min_per_class)
+    subset = stratified_subset(train_ds, n_labeled, streams.subset)
     proto_snapshot = {
         f"bank{i}": bank.P.data.copy() for i, bank in enumerate(encoder.banks())
     }

@@ -306,3 +306,58 @@ def test_lambda_zero_leg_reproduces_no_ortho_mode(tmp_path):
     assert leg.ntxent.lambda_orth == 0.0
     explicit = load_run_config(cfg_path, flags={"lambda_orth": 0.0})
     assert leg.resolved == explicit.resolved
+
+
+def test_sigma_sweep_keeps_the_test_split_out_of_pretraining(tmp_path, monkeypatch):
+    import protonorm.cli as cli
+
+    cfg = desk_config(tmp_path)
+    out = tmp_path / "runs"
+    run(["generate", "--config", cfg, "--out", out])
+    doc = json.loads(cfg.read_text())
+    doc["data"]["source_path"] = os.path.join(only_run_dir(out, "generate-"), "cluster0.tsv")
+    doc["sweep"] = {"n_prototypes": [], "sigma": [0.0], "lambda": []}
+    cfg_path = tmp_path / "sigma.json"
+    cfg_path.write_text(json.dumps(doc))
+    seen = {}
+    real_pretrain, real_finetune = cli.pretrain, cli.finetune
+
+    def pretrain(pool, *args, **kwargs):
+        seen["pool"] = pool
+        return real_pretrain(pool, *args, **kwargs)
+
+    def finetune(splits, *args, **kwargs):
+        seen["test"] = splits[2]
+        return real_finetune(splits, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "pretrain", pretrain)
+    monkeypatch.setattr(cli, "finetune", finetune)
+    assert run(["sweep", "sigma", "--config", cfg_path, "--out", out]) == 0
+    # at sigma 0 the noisy twin holds exact copies of the series it was made from
+    pretrained = {s.tobytes() for ds in seen["pool"] for s in ds.series}
+    assert len(seen["test"]) > 0
+    assert not any(s.tobytes() in pretrained for s in seen["test"].series)
+
+
+def test_failed_trace_write_leaves_the_previous_trace(tmp_path, monkeypatch):
+    import protonorm.cli as cli
+
+    cfg_path, out = _generate_then_pretrain(tmp_path)
+    trace = os.path.join(only_run_dir(out, "pretrain-"), "trace.csv")
+    previous = b"step,lr,loss_nt,loss_orth,loss_total\r\n"  # an earlier, shorter trace
+    with open(trace, "wb") as fh:
+        fh.write(previous)
+    real_pretrain = cli.pretrain
+
+    def fail(fd):
+        raise OSError("simulated fsync failure")
+
+    def pretrain_then_fail_fsync(*args, **kwargs):
+        result = real_pretrain(*args, **kwargs)
+        monkeypatch.setattr(os, "fsync", fail)  # checkpoints are written by now
+        return result
+
+    monkeypatch.setattr(cli, "pretrain", pretrain_then_fail_fsync)
+    assert run(["pretrain", "--config", cfg_path, "--out", out]) == 1
+    assert open(trace, "rb").read() == previous
+    assert not [f for f in os.listdir(os.path.dirname(trace)) if f.endswith(".tmp")]

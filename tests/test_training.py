@@ -17,6 +17,7 @@ from protonorm import (
     NtXentConfig,
     OptimConfig,
     RngStreams,
+    ShapeError,
     Tensor,
     TrainState,
     TrainingDiverged,
@@ -376,6 +377,15 @@ def test_pretrain_divergence_aborts(tmp_path):
     enc.proj[1].b.data[:] = np.nan  # poisons the loss, not the gating
     with pytest.raises(TrainingDiverged, match="non-finite"):
         run_pretrain(enc, streams, tiny_pool(), seed=6)
+
+
+def test_pretrain_rejects_a_pool_of_mixed_lengths():
+    _, enc, streams = desk_encoder()
+    short = tiny_pool()[0]
+    long = tiny_pool(length=48)[1]
+    long.name = "long48"
+    with pytest.raises(ShapeError, match="long48"):
+        run_pretrain(enc, streams, [short, long])
 
 
 def test_pretrain_two_cluster_gating_purity():
