@@ -10,22 +10,22 @@ Layout (all integers little-endian):
     payloads        concatenated in table order
 
 Sections: ``config`` (canonical JSON), ``arrays`` (every parameter,
-optimizer moment, assignment counter, and the in-flight batch order, as
-named raw float64/int64 blocks), ``state`` (loop position, best
-validation loss, rng stream states, one frozen flag per norm site, null
-in plain-LN, and metadata, as canonical JSON). The EMA coefficient is not
+optimizer moment, and the in-flight batch order, as named raw
+float64/int64 blocks), ``state`` (loop position, best validation loss,
+rng stream states, one frozen flag per norm site, null where the site has
+no bank, and metadata, as canonical JSON). The EMA coefficient is not
 stored per bank: the embedded config's ``encoder.ema_alpha`` fixes it.
 Every section is CRC checked on load; a flipped byte raises rather than
 loading silently.
 
-Schema version 3 stores each norm site as its arrays:
+Schema version 4 stores each norm site as its arrays:
 ``param.blockK.normJ.gamma`` and ``.beta`` of shape [n, d] (row i is the
-affine pair of prototype i) and ``.prototypes`` [n, d] outside plain-LN.
-Files of any other version raise ``VersionError``.
+affine pair of route i) and, in proto-gated mode alone, ``.prototypes``
+[n, d]. It holds no routing counts. Files of any other version raise
+``VersionError``.
 
-A file is written whole or not at all: ``write_atomic`` writes a
-temporary file next to the target, syncs it to disk and renames it over
-the target, so an interrupted save leaves the previous file intact.
+A file is written whole or not at all through ``data.write_atomic``, so
+an interrupted save leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -34,36 +34,20 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import struct
 import zlib
 
 import numpy as np
 
+from .data import write_atomic
 from .encoder import Encoder, EncoderConfig
 from .errors import IntegrityError, VersionError
 from .training import RngStreams, TrainState
 
-__all__ = ["SCHEMA_VERSION", "load_checkpoint", "save_checkpoint", "write_atomic"]
+__all__ = ["SCHEMA_VERSION", "load_checkpoint", "save_checkpoint"]
 
 MAGIC = b"PNORMCK1"
-SCHEMA_VERSION = 3
-
-
-def write_atomic(path, data):
-    """Replace the file at ``path`` with the bytes ``data`` such that an
-    interrupt at any point leaves either the old file or the new one."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+SCHEMA_VERSION = 4
 
 
 def _canonical_json(obj):
@@ -119,8 +103,6 @@ def _gather(encoder, state, meta):
     arrays = {}
     for name, t in encoder.parameters().items():
         arrays[f"param.{name}"] = t.data
-    for i, layer in enumerate(encoder.protonorm_layers()):
-        arrays[f"counts.layer{i}"] = layer.assignment_counts
     for name in sorted(state.moments):
         m, v = state.moments[name]
         arrays[f"optim.m.{name}"] = m
@@ -261,7 +243,6 @@ def load_checkpoint(path):
         t.data = arr.astype(np.float64)
 
     for i, layer in enumerate(encoder.protonorm_layers()):
-        layer.assignment_counts[:] = arrays[f"counts.layer{i}"]
         if layer.bank is not None:
             layer.bank.frozen = bool(state_doc["banks"][i])
 

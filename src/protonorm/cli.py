@@ -21,7 +21,7 @@ import time
 import traceback
 from dataclasses import replace
 
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import OVERRIDES, _merge, _overrides, build_run_config, load_run_config
 from .data import (
     load_ucr_tsv,
@@ -30,6 +30,7 @@ from .data import (
     save_ucr_tsv,
     standardize_dataset,
     train_val_split,
+    write_atomic,
 )
 from .encoder import Encoder, count_parameters
 from .errors import ConfigError, ProtoNormError
@@ -91,13 +92,6 @@ def _write_csv(path, header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     write_atomic(path, text.getvalue().encode("utf-8"))
-
-
-def _assignment_histograms(encoder):
-    return {
-        f"layer{i}": layer.assignment_counts.tolist()
-        for i, layer in enumerate(encoder.protonorm_layers())
-    }
 
 
 def _pretrain(cfg, pool, val_pool, **outputs):
@@ -180,13 +174,13 @@ def cmd_generate(cfg, out):
             syn = cfg.data.synthetic
             rng = _derived_rng(cfg.seed, 10)
             clusters = make_synthetic_clusters(
-                syn["k_datasets"],
-                syn["n_per"],
-                syn["length"],
+                syn.k_datasets,
+                syn.n_per,
+                syn.length,
                 rng,
-                offsets=syn["offsets"],
-                noise_std=syn["noise_std"],
-                freq_band=(syn["freq_lo"], syn["freq_hi"]),
+                offsets=syn.offsets,
+                noise_std=syn.noise_std,
+                freq_band=(syn.freq_lo, syn.freq_hi),
             )
             for i, ds in enumerate(clusters):
                 fname = f"{ds.name}.tsv"
@@ -252,7 +246,7 @@ def cmd_pretrain(cfg, out):
             {
                 "steps": result.state.step,
                 "final_loss": result.rows[-1][4] if result.rows else None,
-                "assignment_histograms": _assignment_histograms(result.encoder),
+                "assignment_histograms": result.assignment_histograms,
                 "best_checkpoint": result.best_checkpoint,
                 "final_checkpoint": result.final_checkpoint,
             },
@@ -274,9 +268,7 @@ def cmd_finetune(cfg, checkpoint_path, out):
             TrainState(streams=RngStreams.from_seed(cfg.seed)),
             cfg.resolved,
         )
-        doc = result.metrics.to_dict()
-        doc["assignment_histograms"] = _assignment_histograms(result.encoder)
-        doc["best_epoch"] = result.best_epoch
+        doc = {**result.metrics.to_dict(), "best_epoch": result.best_epoch}
         _write_json(os.path.join(run_dir, "metrics.json"), doc)
 
     return _finish_run(run_dir, body)
@@ -288,12 +280,8 @@ def cmd_eval(cfg, model_path, out):
     def body():
         encoder, _, _, _ = load_checkpoint(model_path)
         _, _, test = _load_finetune_splits(cfg)
-        for layer in encoder.protonorm_layers():  # report this pass alone
-            layer.assignment_counts[:] = 0
         metrics = evaluate(encoder, test, cfg.finetune.batch_size)
-        doc = metrics.to_dict()
-        doc["assignment_histograms"] = _assignment_histograms(encoder)
-        _write_json(os.path.join(run_dir, "metrics.json"), doc)
+        _write_json(os.path.join(run_dir, "metrics.json"), metrics.to_dict())
 
     return _finish_run(run_dir, body)
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import types
 import typing
 from dataclasses import asdict, dataclass
 
@@ -33,16 +34,6 @@ __all__ = [
 ]
 
 ENV_PREFIX = "PROTONORM_"
-
-SYNTHETIC_DEFAULTS = {
-    "k_datasets": 2,
-    "n_per": 200,
-    "length": None,  # falls back to encoder.input_len
-    "offsets": None,
-    "noise_std": 0.1,
-    "freq_lo": 2.0,
-    "freq_hi": 8.0,
-}
 
 NORM_MODE_ALIASES = {
     "proto": "proto-gated",
@@ -123,15 +114,26 @@ def _overrides(env, flags):
 
 
 @dataclass
+class SyntheticConfig:
+    k_datasets: int = 2
+    n_per: int = 200
+    length: int | None = None  # falls back to encoder.input_len
+    offsets: tuple[float, ...] | None = None
+    noise_std: float = 0.1
+    freq_lo: float = 2.0
+    freq_hi: float = 8.0
+
+
+@dataclass
 class DataConfig:
-    pretrain_paths: tuple = ()
+    pretrain_paths: tuple[str, ...] = ()
     finetune_train_path: str | None = None
     finetune_test_path: str | None = None
     val_fraction: float = 0.2
     test_fraction: float = 0.2
     source_path: str | None = None
-    sigmas: tuple = (0.1, 0.2, 0.3)
-    synthetic: dict | None = None
+    sigmas: tuple[float, ...] = (0.1, 0.2, 0.3)
+    synthetic: SyntheticConfig | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.val_fraction < 1.0:
@@ -232,14 +234,17 @@ _ACCEPTED = {float: (int, float), tuple: (list, tuple)}
 def _check_type(where, value, hint):
     """Raise ConfigError unless ``value`` fits the annotation ``hint``: an
     int field takes no bool or float, a float field also takes an int, a
-    tuple field takes a JSON list, and ``X | None`` also takes None."""
-    kinds = typing.get_args(hint) or (hint,)
-    if not any(
-        isinstance(value, bool) == (kind is bool)
-        and isinstance(value, _ACCEPTED.get(kind, kind))
-        for kind in kinds
-    ):
-        raise ConfigError(f"{where} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+    ``tuple[X, ...]`` field takes a JSON list whose every element fits X
+    (named ``where[i]``), and ``X | None`` also takes None."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    for kind in (typing.get_args(hint) if union else (hint,)):
+        base = typing.get_origin(kind) or kind
+        accepted = _ACCEPTED.get(base, base)
+        if isinstance(value, accepted) and isinstance(value, bool) == (base is bool):
+            for i, item in enumerate(value if base is tuple else ()):
+                _check_type(f"{where}[{i}]", item, typing.get_args(kind)[0])
+            return
+    raise ConfigError(f"{where} must be {getattr(hint, '__name__', hint)}, got {value!r}")
 
 
 def _section(name, cls, doc):
@@ -248,7 +253,7 @@ def _section(name, cls, doc):
     hints = typing.get_type_hints(cls)
     for key, value in doc.items():
         _check_type(f"{name}.{key}", value, hints[key])
-    return cls(**{k: tuple(v) if hints[k] is tuple else v for k, v in doc.items()})
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 def build_run_config(resolved):
@@ -268,10 +273,12 @@ def build_run_config(resolved):
     for key, fallback in (("target_len", "input_len"), ("target_channels", "channels")):
         if std[key] is None:
             std[key] = enc[fallback]
-    if isinstance(data["synthetic"], dict):
-        data["synthetic"] = _merge(SYNTHETIC_DEFAULTS, data["synthetic"], "data.synthetic")
-        if data["synthetic"]["length"] is None:
-            data["synthetic"]["length"] = enc["input_len"]
+    if data["synthetic"] is not None:
+        _check_type("data.synthetic", data["synthetic"], dict)
+        syn = _merge(asdict(SyntheticConfig()), data["synthetic"], "data.synthetic")
+        if syn["length"] is None:
+            syn["length"] = enc["input_len"]
+        data["synthetic"] = _section("data.synthetic", SyntheticConfig, syn)
     return RunConfig(
         seed=resolved["seed"],
         **{name: _section(name, cls, docs[name]) for name, cls in SECTIONS.items()},

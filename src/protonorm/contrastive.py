@@ -28,7 +28,7 @@ __all__ = [
 @dataclass
 class AugmentConfig:
     max_shift_fraction: float = 0.2
-    scale_range: tuple = (0.8, 1.2)
+    scale_range: tuple[float, ...] = (0.8, 1.2)
     jitter_std: float = 0.05
 
     def __post_init__(self):

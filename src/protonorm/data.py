@@ -8,6 +8,7 @@ z-scores each series.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "standardize",
     "standardize_dataset",
     "train_val_split",
+    "write_atomic",
 ]
 
 _ZSCORE_EPS = 1e-8
@@ -149,14 +151,33 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train"):
     )
 
 
+def write_atomic(path, data):
+    """Replace the file at ``path`` with the bytes ``data`` such that an
+    interrupt at any point leaves either the old file or the new one: the
+    bytes go to a temporary file next to the target, are synced to disk
+    and renamed over the target."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_ucr_tsv(ds, path, delimiter="\t"):
     """Write a dataset back out in the same text format (full float
-    precision via repr, so regeneration is byte-deterministic)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s, label in zip(ds.series, ds.labels):
-            flat = np.asarray(s).ravel()
-            fh.write(delimiter.join([str(int(label))] + [repr(float(v)) for v in flat]))
-            fh.write("\n")
+    precision via repr, so regeneration is byte-deterministic), whole or
+    not at all."""
+    lines = []
+    for s, label in zip(ds.series, ds.labels):
+        flat = np.asarray(s).ravel()
+        lines.append(delimiter.join([str(int(label))] + [repr(float(v)) for v in flat]) + "\n")
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def standardize(sample, spec, rng=None):

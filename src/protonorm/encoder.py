@@ -225,8 +225,8 @@ class Encoder:
 
     def __init__(self, cfg, rng_params, rng_protos=None):
         cfg.validate()
-        if cfg.norm_mode != "plain-LN" and rng_protos is None:
-            raise ContractError(f"{cfg.norm_mode} encoder needs rng_protos")
+        if cfg.norm_mode == "proto-gated" and rng_protos is None:
+            raise ContractError("proto-gated encoder needs rng_protos")
         self.cfg = cfg
         d = cfg.d_model
         self.patch_embed = Linear(cfg.channels * cfg.patch_size, d, rng_params, "patch_embed")
@@ -266,8 +266,6 @@ class Encoder:
                 f"expected [B, {self.cfg.channels}, {self.cfg.input_len}] batch, "
                 f"got {x.shape}"
             )
-        if self.cfg.norm_mode == "dataset-indexed" and dataset_ids is None:
-            raise ContractError("dataset-indexed encoder needs dataset_ids")
         if train and self.cfg.dropout > 0 and rng is None:
             raise ContractError("train-mode forward with dropout needs an rng")
         tokens = Tensor(patchify(x, self.cfg.patch_size))
@@ -331,9 +329,9 @@ def count_parameters(cfg):
     """Closed-form scalar parameter count of ``Encoder(cfg)`` (classifier
     excluded: it does not exist until a class count is known).
 
-    Versus plain-LN, prototype gating adds, across the 2*n_layers sites,
-    2*n_layers*(n-1)*2*d extra affine entries plus 2*n_layers*n*d
-    prototype entries.
+    Versus plain-LN, n routes add, across the 2*n_layers sites,
+    2*n_layers*(n-1)*2*d extra affine entries; prototype gating adds
+    2*n_layers*n*d prototype entries on top.
     """
     d, t = cfg.d_model, cfg.n_tokens
     cp = cfg.channels * cfg.patch_size
@@ -341,10 +339,10 @@ def count_parameters(cfg):
     pos = t * d
     attn = 4 * (d * d + d)
     ffn = d * 4 * d + 4 * d + 4 * d * d + d
-    if cfg.norm_mode == "plain-LN":
-        site = 2 * d
-    else:
-        site = cfg.n_prototypes * 2 * d + cfg.n_prototypes * d
+    n = 1 if cfg.norm_mode == "plain-LN" else cfg.n_prototypes
+    site = n * 2 * d
+    if cfg.norm_mode == "proto-gated":
+        site += n * d
     block = attn + ffn + 2 * site
     proj = d * d + d + d * cfg.proj_dim + cfg.proj_dim
     return embed + pos + cfg.n_layers * block + proj
@@ -356,12 +354,12 @@ def count_forward_macs(cfg):
 
     The core term is independent of the prototype count: exactly one
     LayerNorm is applied per sample regardless of n. The only n-dependent
-    work is the gating distance computation, reported separately.
+    work is the proto-gated distance computation, reported separately.
     """
     d, t = cfg.d_model, cfg.n_tokens
     cp = cfg.channels * cfg.patch_size
     core = t * cp * d
     core += cfg.n_layers * (12 * t * d * d + 2 * t * t * d)
     core += d * d + d * cfg.proj_dim
-    gating = 0 if cfg.norm_mode == "plain-LN" else 2 * cfg.n_layers * cfg.n_prototypes * d
+    gating = 2 * cfg.n_layers * cfg.n_prototypes * d if cfg.norm_mode == "proto-gated" else 0
     return MacCount(core=core, gating=gating)

@@ -11,8 +11,8 @@ distinct by an orthogonality penalty on the prototype matrix.
 
 Routing modes:
   ``proto-gated``      nearest-prototype selection (the mechanism itself)
-  ``dataset-indexed``  route by dataset of origin, ignoring prototypes
-  ``plain-LN``         one shared LayerNorm (n = 1), bank ignored entirely
+  ``dataset-indexed``  route by dataset of origin; no prototype bank
+  ``plain-LN``         one shared LayerNorm (n = 1); no prototype bank
 """
 
 from __future__ import annotations
@@ -171,9 +171,9 @@ class ProtoNormLayer:
                 f"gamma/beta must be equal [n, d] arrays with n >= 1, got "
                 f"{self.gamma.shape} and {self.beta.shape}"
             )
-        if mode != "plain-LN":
+        if mode == "proto-gated":
             if bank is None:
-                raise ContractError(f"{mode} mode requires a prototype bank")
+                raise ContractError("proto-gated mode requires a prototype bank")
             if bank.n != self.n:
                 raise ContractError(
                     f"bank size {bank.n} != number of gamma/beta rows {self.n}"
@@ -185,7 +185,6 @@ class ProtoNormLayer:
         self.mode = mode
         self.bank = bank
         self.epsilon = float(epsilon)
-        self.assignment_counts = np.zeros(self.n, dtype=np.int64)
         self.last_assignments = None  # diagnostics, refreshed each forward
         self.last_features = None
 
@@ -194,9 +193,9 @@ class ProtoNormLayer:
         bank = None
         if mode == "plain-LN":
             n = 1
-        elif rng is None:
-            raise ContractError(f"{mode} mode needs an rng for prototype init")
-        else:
+        elif mode == "proto-gated":
+            if rng is None:
+                raise ContractError("proto-gated mode needs an rng for prototype init")
             bank = PrototypeBank.create(n, d, rng, ema_alpha=ema_alpha)
         return cls(np.ones((n, d)), np.zeros((n, d)), mode, bank, epsilon)
 
@@ -252,7 +251,6 @@ class ProtoNormLayer:
         idx, features = self.select_indices(x.data, dataset_ids)
         self.last_assignments = idx.copy()
         self.last_features = features.copy()
-        np.add.at(self.assignment_counts, idx, 1)
         if train and self.mode == "proto-gated" and not self.bank.frozen:
             self.bank.stage(features, idx)
 

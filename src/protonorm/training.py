@@ -89,7 +89,7 @@ class RngStreams:
 class OptimConfig:
     lr_peak: float = 1e-3
     weight_decay: float = 1e-5
-    betas: tuple = (0.9, 0.999)
+    betas: tuple[float, ...] = (0.9, 0.999)
     eps: float = 1e-8
     warmup_steps: int = 2000
     total_steps: int | None = None
@@ -198,6 +198,7 @@ class Metrics:
     macro_f1: float
     per_class_f1: np.ndarray
     confusion: np.ndarray
+    assignment_histograms: dict = field(default_factory=dict)
 
     @classmethod
     def from_predictions(cls, y_true, y_pred, n_classes):
@@ -234,6 +235,7 @@ class Metrics:
             "macro_f1": self.macro_f1,
             "per_class_f1": [float(v) for v in self.per_class_f1],
             "confusion": self.confusion.tolist(),
+            "assignment_histograms": self.assignment_histograms,
         }
 
 
@@ -250,9 +252,16 @@ def cross_entropy(logits, labels):
     return (lse - picked).mean()
 
 
+def _count_assignments(histograms, encoder):
+    """Add the routing of the encoder's last forward pass to ``histograms``."""
+    for i, layer in enumerate(encoder.protonorm_layers()):
+        counts = np.bincount(layer.last_assignments, minlength=layer.n)
+        histograms[f"layer{i}"] = (counts + histograms.get(f"layer{i}", 0)).tolist()
+
+
 def evaluate(encoder, ds, batch_size=64):
-    """Accuracy and macro-F1 of the classifier head on a dataset. The
-    result is independent of how the set is batched."""
+    """Accuracy, macro-F1 and routing histograms of the classifier head on a
+    dataset, from this pass alone. The result is independent of batching."""
     if len(ds) == 0:
         raise InputError("cannot evaluate on an empty dataset")
     if encoder.classifier is None:
@@ -264,16 +273,19 @@ def evaluate(encoder, ds, batch_size=64):
         )
     preds = []
     trues = []
+    histograms = {}
     with no_grad():
         for batch in batches(ds, batch_size):
             logits = encoder.encode(
                 batch.x, "eval", train=False, dataset_ids=batch.dataset_ids
             )
+            _count_assignments(histograms, encoder)
             preds.append(np.argmax(logits.data, axis=1))
             trues.append(batch.labels)
-    return Metrics.from_predictions(
+    metrics = Metrics.from_predictions(
         np.concatenate(trues), np.concatenate(preds), encoder.n_classes
     )
+    return replace(metrics, assignment_histograms=histograms)
 
 
 # -- pretraining -----------------------------------------------------------
@@ -284,6 +296,7 @@ class PretrainResult:
     encoder: object
     state: TrainState
     rows: list  # (step, lr, loss_nt, loss_orth, loss_total)
+    assignment_histograms: dict  # routing of both views of each step in rows
     interrupted: bool = False
     best_checkpoint: str | None = None
     final_checkpoint: str | None = None
@@ -294,25 +307,25 @@ def _derived_rng(seed, *tags):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *tags])))
 
 
-def _encode_views(encoder, batch, aug_cfg, nt_cfg, aug_rng, dropout_rng, train):
+def pretrain_losses(
+    encoder, batch, aug_cfg, nt_cfg, aug_rng, dropout_rng, train=True, histograms=None
+):
+    """(nt, orth_terms, total) for one batch. The orthogonality penalty is
+    only computed when its weight is nonzero, so a lambda = 0 run is
+    arithmetically identical to one with no banks at all. The routing of
+    both views is added to ``histograms`` when it is given."""
     v1 = np.empty_like(batch.x)
     v2 = np.empty_like(batch.x)
     for i in range(len(batch)):
         v1[i], v2[i] = augment_pair(batch.x[i], aug_cfg, aug_rng)
-    z1 = encoder.encode(
-        v1, "pretrain", train=train, rng=dropout_rng, dataset_ids=batch.dataset_ids
-    )
-    z2 = encoder.encode(
-        v2, "pretrain", train=train, rng=dropout_rng, dataset_ids=batch.dataset_ids
-    )
-    return nt_xent(concat([z1, z2], axis=0), nt_cfg.temperature)
-
-
-def pretrain_losses(encoder, batch, aug_cfg, nt_cfg, aug_rng, dropout_rng, train=True):
-    """(nt, orth_terms, total) for one batch. The orthogonality penalty is
-    only computed when its weight is nonzero, so a lambda = 0 run is
-    arithmetically identical to one with no banks at all."""
-    nt = _encode_views(encoder, batch, aug_cfg, nt_cfg, aug_rng, dropout_rng, train)
+    z = []
+    for view in (v1, v2):
+        z.append(encoder.encode(
+            view, "pretrain", train=train, rng=dropout_rng, dataset_ids=batch.dataset_ids
+        ))
+        if histograms is not None:
+            _count_assignments(histograms, encoder)
+    nt = nt_xent(concat(z, axis=0), nt_cfg.temperature)
     if nt_cfg.lambda_orth > 0.0:
         orth_terms = [orthogonality_loss(b.P) for b in encoder.banks()]
     else:
@@ -368,6 +381,7 @@ def pretrain(
     optim = optim_cfg.resolved(epochs * steps_per_epoch)
     all_params = encoder.parameters()
     rows = []
+    histograms = {}
     paths = {"best": None, "final": None, "last": None}
 
     def checkpoint_to(tag):
@@ -392,12 +406,14 @@ def pretrain(
                     encoder,
                     state,
                     rows,
+                    histograms,
                     interrupted=True,
                     final_checkpoint=paths.get("interrupt"),
                 )
             batch = batch_list[state.batch_idx]
             nt, orth_terms, loss = pretrain_losses(
-                encoder, batch, aug_cfg, nt_cfg, streams.augment, streams.dropout
+                encoder, batch, aug_cfg, nt_cfg, streams.augment, streams.dropout,
+                histograms=histograms,
             )
             nt_val = nt.item()
             orth_val = float(sum(t.item() for t in orth_terms))
@@ -436,6 +452,7 @@ def pretrain(
         encoder,
         state,
         rows,
+        histograms,
         best_checkpoint=paths["best"],
         final_checkpoint=final,
     )

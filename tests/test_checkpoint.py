@@ -1,5 +1,7 @@
 """Checkpoint format: byte-exact round trips, integrity, resume equality."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,14 @@ from protonorm import (
     RngStreams,
     TrainState,
     VersionError,
+    evaluate,
     load_checkpoint,
     make_synthetic_clusters,
     pretrain,
     save_checkpoint,
 )
 from protonorm.checkpoint import MAGIC
+from protonorm.training import _count_assignments
 
 
 CONFIG = {
@@ -71,7 +75,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 
 def test_load_restores_everything(tmp_path):
-    enc, state, _ = trained_encoder(seed=1)
+    enc, state, pool = trained_encoder(seed=1)
     enc.banks()[0].frozen = True
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, enc, state, CONFIG)
@@ -80,14 +84,34 @@ def test_load_restores_everything(tmp_path):
         assert ka == kb
         assert np.array_equal(a.data, b.data)
     assert enc2.banks()[0].frozen is True
-    for la, lb in zip(enc.protonorm_layers(), enc2.protonorm_layers()):
-        assert np.array_equal(la.assignment_counts, lb.assignment_counts)
+    x = np.stack(pool[0].series[:8])
+    assert _routing(enc, x) == _routing(enc2, x)
     assert state2.step == state.step
     assert set(state2.moments) == set(state.moments)
     for name in state.moments:
         assert np.array_equal(state.moments[name][0], state2.moments[name][0])
         assert np.array_equal(state.moments[name][1], state2.moments[name][1])
     assert state2.streams.state() == state.streams.state()
+
+
+def _routing(encoder, x):
+    histograms = {}
+    encoder.encode(x, "pretrain")
+    _count_assignments(histograms, encoder)
+    return histograms
+
+
+def test_evaluate_leaves_the_checkpoint_bytes_unchanged(tmp_path):
+    enc, state, pool = trained_encoder(seed=7)
+    enc.drop_projection_head()
+    enc.attach_classifier(2, np.random.default_rng(1))
+    before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
+    save_checkpoint(before, enc, state, CONFIG)
+    metrics = evaluate(enc, pool[0])
+    save_checkpoint(after, enc, state, CONFIG)
+    assert before.read_bytes() == after.read_bytes()
+    for counts in metrics.assignment_histograms.values():
+        assert sum(counts) == len(pool[0])
 
 
 def test_resume_one_step_matches_uninterrupted(tmp_path):
@@ -146,8 +170,8 @@ def test_version_mismatch_rejected(tmp_path):
     save_checkpoint(path, enc, state, CONFIG)
     # version 1 stored one parameter pair per LayerNorm (normJ.lnI.gamma);
     # version 2 stored each bank as {"frozen", "ema_alpha"}, which would
-    # read as a truthy frozen flag here
-    for version in (99, 1, 2):
+    # read as a truthy frozen flag here; version 3 stored routing counts
+    for version in (99, 1, 2, 3):
         blob = bytearray(path.read_bytes())
         blob[8] = version  # schema version field follows the magic
         versioned = tmp_path / "v.ckpt"
@@ -166,7 +190,7 @@ def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch):
     def fail(fd):
         raise OSError("disk gone mid-write")
 
-    monkeypatch.setattr("protonorm.checkpoint.os.fsync", fail)
+    monkeypatch.setattr(os, "fsync", fail)
     with pytest.raises(OSError, match="mid-write"):
         save_checkpoint(path, enc, state, CONFIG)
     monkeypatch.undo()

@@ -103,6 +103,38 @@ def test_generate_regeneration_is_byte_identical(tmp_path):
         ).read()
 
 
+def test_failed_generate_write_leaves_the_previous_source(tmp_path, monkeypatch):
+    import protonorm.cli as cli
+
+    cfg = desk_config(tmp_path)
+    run(["generate", "--config", cfg, "--out", tmp_path / "clusters"])
+    clusters = only_run_dir(tmp_path / "clusters", "generate-")
+    doc = json.loads(cfg.read_text())
+    doc["data"]["synthetic"] = None
+    doc["data"]["source_path"] = os.path.join(clusters, "cluster0.tsv")
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "runs"
+    assert run(["generate", "--config", cfg, "--out", out]) == 0
+    source = os.path.join(only_run_dir(out, "generate-"), "source.tsv")
+    previous = b"0\t1.0\t2.0\n"  # an earlier, shorter source
+    with open(source, "wb") as fh:
+        fh.write(previous)
+    real_start = cli._start_run
+
+    def fail(fd):
+        raise OSError("simulated fsync failure")
+
+    def start_then_fail_fsync(*args):
+        run_dir = real_start(*args)
+        monkeypatch.setattr(os, "fsync", fail)  # the status file is written by now
+        return run_dir
+
+    monkeypatch.setattr(cli, "_start_run", start_then_fail_fsync)
+    assert run(["generate", "--config", cfg, "--out", out]) == 1
+    assert open(source, "rb").read() == previous
+    assert not [f for f in os.listdir(os.path.dirname(source)) if f.endswith(".tmp")]
+
+
 def _generate_then_pretrain(tmp_path, extra_flags=()):
     cfg = desk_config(tmp_path)
     out = tmp_path / "runs"
@@ -152,6 +184,11 @@ def test_finetune_and_eval_metrics_passthrough(tmp_path):
     metrics = json.loads(metrics_bytes)
     for key in ("accuracy", "macro_f1", "per_class_f1", "confusion", "assignment_histograms"):
         assert key in metrics
+    # fine-tune reports the routing of its test pass alone
+    n_test = sum(sum(row) for row in metrics["confusion"])
+    assert len(metrics["assignment_histograms"]) == 2
+    for layer, counts in metrics["assignment_histograms"].items():
+        assert sum(counts) == n_test, layer
     # replaying the command reproduces the metrics file byte for byte
     assert run(["finetune", ckpt, "--config", cfg_path, "--out", out]) == 0
     assert open(os.path.join(ft_dir, "metrics.json"), "rb").read() == metrics_bytes

@@ -2,6 +2,7 @@
 typed values rejected as config errors before any run directory exists."""
 
 import json
+import re
 
 import pytest
 
@@ -68,6 +69,12 @@ BAD_TYPES = [
     ({"seed": 1.5}, "seed"),
     ({"freeze_prototypes": "false"}, "freeze_prototypes"),
     ({"optim": 1e-3}, "optim"),
+    ({"data": {"synthetic": 5}}, "data.synthetic"),
+    ({"data": {"synthetic": {"k_datasets": "2"}}}, "data.synthetic.k_datasets"),
+    ({"data": {"sigmas": ["a"]}}, "data.sigmas[0]"),
+    ({"optim": {"betas": ["a", 0.9]}}, "optim.betas[0]"),
+    ({"augment": {"scale_range": [0.8, "1.2"]}}, "augment.scale_range[1]"),
+    ({"data": {"pretrain_paths": [3]}}, "data.pretrain_paths[0]"),
 ]
 
 
@@ -84,7 +91,7 @@ def _with(doc, bad):
 @pytest.mark.parametrize("bad, key", BAD_TYPES, ids=[key for _, key in BAD_TYPES])
 def test_wrongly_typed_value_is_a_config_error(tmp_path, capsys, bad, key):
     path = _write(tmp_path, _with(_desk_doc(tmp_path), bad), "bad.json")
-    with pytest.raises(ConfigError, match=f"^{key} must be"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be"):
         load_run_config(path, env={})
     out = tmp_path / "runs"
     assert main(["generate", "--config", str(path), "--out", str(out)]) == 2

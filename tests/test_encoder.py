@@ -16,6 +16,7 @@ from protonorm import (
     patchify,
     unpatchify,
 )
+from protonorm.norm import MODES
 
 
 def small_cfg(**kw):
@@ -188,10 +189,16 @@ def test_parameter_count_matches_exhaustive_walk(n):
     assert count_parameters(cfg) == walked
 
 
-def test_parameter_count_plain_mode_walk():
-    cfg = small_cfg(norm_mode="plain-LN")
+@pytest.mark.parametrize("mode", MODES)
+def test_parameter_count_walk_in_every_mode(mode):
+    cfg = small_cfg(norm_mode=mode)
     enc, _ = build(cfg)
     assert count_parameters(cfg) == sum(t.size for t in enc.parameters().values())
+    # only nearest-prototype routing has a bank, prototypes and gating work
+    gated = mode == "proto-gated"
+    assert len(enc.banks()) == (2 * cfg.n_layers if gated else 0)
+    assert any(k.endswith(".prototypes") for k in enc.parameters()) == gated
+    assert (count_forward_macs(cfg).gating > 0) == gated
 
 
 def test_parameter_delta_formulas():

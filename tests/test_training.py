@@ -26,6 +26,7 @@ from protonorm import (
     cross_entropy,
     evaluate,
     finetune,
+    load_checkpoint,
     make_synthetic_clusters,
     pretrain,
     stratified_subset,
@@ -269,8 +270,45 @@ def test_pretrain_smoke_runs_and_logs():
     steps = [r[0] for r in result.rows]
     assert steps == list(range(1, len(steps) + 1))
     assert all(math.isfinite(r[4]) for r in result.rows)
-    counts = enc.protonorm_layers()[0].assignment_counts
-    assert counts.sum() == 2 * 48 * 2  # two views per sample per epoch
+    counts = result.assignment_histograms["layer0"]
+    assert sum(counts) == 2 * 48 * 2  # two views per sample per epoch
+
+
+def test_pretrain_histograms_count_its_training_steps_alone():
+    cfg, enc, streams = desk_encoder(seed=12)
+    result = run_pretrain(enc, streams, tiny_pool(), seed=12, val_pool=tiny_pool(seed=1, n=8))
+    histograms = result.assignment_histograms
+    assert list(histograms) == [f"layer{i}" for i in range(2 * cfg.n_layers)]
+    for counts in histograms.values():
+        assert len(counts) == cfg.n_prototypes
+        assert sum(counts) == 2 * 48 * 2  # both views, two epochs, no validation pass
+
+
+def test_resumed_histograms_add_up_to_the_uninterrupted_run(tmp_path):
+    pool = tiny_pool()
+    _, enc, streams = desk_encoder(seed=13)
+    whole = run_pretrain(enc, streams, pool, seed=13).assignment_histograms
+    _, enc, streams = desk_encoder(seed=13)
+    first = run_pretrain(enc, streams, pool, seed=13, stop_after_steps=7, out_dir=tmp_path)
+    enc, state, _, _ = load_checkpoint(first.final_checkpoint)
+    rest = pretrain(
+        pool, enc, AugmentConfig(), NtXentConfig(lambda_orth=0.001), OptimConfig(warmup_steps=5),
+        epochs=2, batch_size=8, seed=13, state=state,
+    )
+    assert len(first.rows) == 7 and len(rest.rows) == 5
+    for key, counts in whole.items():
+        resumed = [a + b for a, b in zip(first.assignment_histograms[key],
+                                         rest.assignment_histograms[key])]
+        assert resumed == counts, key
+
+
+def test_dataset_indexed_pretraining_has_no_orthogonality_term():
+    _, enc, streams = desk_encoder(seed=14, norm_mode="dataset-indexed")
+    result = run_pretrain(enc, streams, tiny_pool(), seed=14, lam=0.01)
+    for _, _, nt, orth, total in result.rows:
+        assert orth == 0.0 and total == nt
+    for counts in result.assignment_histograms.values():
+        assert counts == [2 * 24 * 2, 2 * 24 * 2]  # routed by dataset id
 
 
 def test_pretrain_determinism_bitwise():
@@ -397,8 +435,6 @@ def test_pretrain_two_cluster_gating_purity():
     # audit: full eval pass, brute-force distance recomputation per sample
     from protonorm import batches
 
-    for layer in enc.protonorm_layers():
-        layer.assignment_counts[:] = 0
     per_layer_hits = None
     total = 0
     for b in batches(pool, 16):
