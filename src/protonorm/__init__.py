@@ -29,7 +29,6 @@ from .encoder import (
     count_forward_macs,
     count_parameters,
     patchify,
-    unpatchify,
 )
 from .errors import (
     ConfigError,
@@ -55,7 +54,8 @@ from .tensor import (
     concat,
     dropout,
     exp,
-    gather_rows,
+    layer_norm,
+    linear,
     log,
     logsumexp,
     matmul,

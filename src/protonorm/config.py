@@ -123,6 +123,25 @@ class SyntheticConfig:
     freq_lo: float = 2.0
     freq_hi: float = 8.0
 
+    def __post_init__(self):
+        for key in ("k_datasets", "n_per", "length"):
+            value = getattr(self, key)
+            if value is not None and value < 1:  # length None follows the encoder
+                raise ConfigError(f"data.synthetic.{key} must be >= 1, got {value}")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigError(
+                f"data.synthetic.noise_std must be finite and >= 0, got {self.noise_std}"
+            )
+        if not self.freq_lo <= self.freq_hi:
+            raise ConfigError(
+                f"data.synthetic.freq_lo {self.freq_lo} exceeds freq_hi {self.freq_hi}"
+            )
+        if self.offsets is not None and len(self.offsets) != self.k_datasets:
+            raise ConfigError(
+                f"data.synthetic.offsets has {len(self.offsets)} entries for "
+                f"k_datasets={self.k_datasets}"
+            )
+
 
 @dataclass
 class DataConfig:
@@ -259,12 +278,16 @@ def _section(name, cls, doc):
 def build_run_config(resolved):
     """Construct a validated RunConfig from an already-merged document,
     whose norm mode it makes canonical. A wrongly typed value is a
-    ConfigError naming its ``section.key``."""
+    ConfigError naming its ``section.key``; each sweep axis is a list of
+    numbers (ints for ``n_prototypes``)."""
     resolved = copy.deepcopy(resolved)
     _check_type("seed", resolved["seed"], int)
     _check_type("freeze_prototypes", resolved["freeze_prototypes"], bool)
     if resolved["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
+    for axis, values in resolved["sweep"].items():
+        kind = int if axis == "n_prototypes" else float
+        _check_type(f"sweep.{axis}", values, tuple[kind, ...])
     enc = resolved["encoder"]
     _check_type("encoder.norm_mode", enc["norm_mode"], str)
     enc["norm_mode"] = resolve_norm_mode(enc["norm_mode"])

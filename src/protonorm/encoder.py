@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .norm import MODES, ProtoNormLayer
-from .tensor import Tensor, dropout, relu, softmax
+from .tensor import Tensor, dropout, linear, relu, softmax
 
 __all__ = [
     "Encoder",
@@ -27,7 +27,6 @@ __all__ = [
     "count_forward_macs",
     "count_parameters",
     "patchify",
-    "unpatchify",
 ]
 
 
@@ -104,18 +103,6 @@ def patchify(x, patch_size):
     return tokens[0] if squeeze else tokens
 
 
-def unpatchify(tokens, channels):
-    """Inverse of patchify up to the zero padding: [.., T, C*P] -> [.., C, T*P]."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    squeeze = tokens.ndim == 2
-    if squeeze:
-        tokens = tokens[None]
-    b, t, cp = tokens.shape
-    p = cp // channels
-    series = tokens.reshape(b, t, channels, p).transpose(0, 2, 1, 3).reshape(b, channels, t * p)
-    return series[0] if squeeze else series
-
-
 class Linear:
     def __init__(self, d_in, d_out, rng, prefix):
         self.w = Tensor(rng.standard_normal((d_in, d_out)) / math.sqrt(d_in), requires_grad=True)
@@ -123,7 +110,7 @@ class Linear:
         self.prefix = prefix
 
     def __call__(self, x):
-        return x @ self.w + self.b
+        return linear(x, self.w, self.b)
 
     def parameters(self):
         return {f"{self.prefix}.w": self.w, f"{self.prefix}.b": self.b}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractError, InputError, ShapeError
-from .tensor import Tensor, gather_rows, sqrt
+from .tensor import Tensor, layer_norm
 
 MODES = ("proto-gated", "dataset-indexed", "plain-LN")
 
@@ -253,14 +253,7 @@ class ProtoNormLayer:
         self.last_features = features.copy()
         if train and self.mode == "proto-gated" and not self.bank.frozen:
             self.bank.stage(features, idx)
-
-        b = x.shape[0]
-        mu = x.mean(-1, keepdims=True)
-        var = x.var(-1, keepdims=True)
-        xhat = (x - mu) / sqrt(var + self.epsilon)
-        g = gather_rows(self.gamma, idx).reshape(b, 1, self.dim)
-        s = gather_rows(self.beta, idx).reshape(b, 1, self.dim)
-        return g * xhat + s
+        return layer_norm(x, idx, self.gamma, self.beta, self.epsilon)
 
     def apply_ema(self):
         """Consume staged features and refresh the prototypes."""

@@ -1,12 +1,15 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The operator set is deliberately small: exactly what the patch transformer
-encoder, its norm sites and its contrastive and classification losses
-call, and nothing else (no negation, powers or slicing; the reflected
-operators are only ``scalar * tensor``). Each operation records a
-backward closure over its inputs; ``Tensor.backward`` walks the recorded
-graph once in reverse topological order and accumulates gradients into
-every reachable tensor with ``requires_grad``.
+The operator set is exactly what the patch transformer encoder, its norm
+sites and its losses call: the layers ``linear`` and ``layer_norm`` (one
+node each), ``matmul`` over equal batch dims (no broadcasting),
+elementwise ``+ - * /`` (``scalar * tensor`` is the only reflected
+operator), ``exp``, ``log``, ``sqrt``, ``relu``, ``dropout``, ``sum``,
+``mean``, ``reshape``, ``transpose``, ``swapaxes``, ``concat``,
+``softmax`` and ``logsumexp``. Each operation records a backward closure
+over its inputs; ``Tensor.backward`` walks the recorded graph once in
+reverse topological order and accumulates gradients into every reachable
+tensor with ``requires_grad``. Only leaves keep their ``.grad`` after it.
 
 Conventions:
   * all data is float64 so finite-difference checks are trustworthy
@@ -26,7 +29,8 @@ __all__ = [
     "concat",
     "dropout",
     "exp",
-    "gather_rows",
+    "layer_norm",
+    "linear",
     "log",
     "logsumexp",
     "matmul",
@@ -99,8 +103,9 @@ class Tensor:
     # -- graph ----------------------------------------------------------
 
     def backward(self):
-        """Populate gradients of every requires_grad tensor reachable
-        from this scalar. The traversed graph is consumed afterwards."""
+        """Populate gradients of every requires_grad leaf reachable from
+        this scalar. The traversed graph is consumed afterwards, and each
+        op output's gradient is dropped once its closure has run."""
         if self.data.size != 1:
             raise GraphError(
                 f"backward() needs a scalar loss, got shape {tuple(self.shape)}"
@@ -133,17 +138,16 @@ class Tensor:
             for p in ctx.parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for t in reversed(topo):
-            ctx = t._ctx
+        while topo:
+            t = topo.pop()
+            ctx, t._ctx = t._ctx, _CONSUMED
             if t.grad is None:
-                t._ctx = _CONSUMED
                 continue
-            grads = ctx.backward(t.grad)
+            grads, t.grad = ctx.backward(t.grad), None
             for p, g in zip(ctx.parents, grads):
                 if g is None or not p.requires_grad:
                     continue
                 p.grad = g if p.grad is None else p.grad + g
-            t._ctx = _CONSUMED
 
     # -- operators -------------------------------------------------------
 
@@ -171,12 +175,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return _reduce_mean(self, axis, keepdims)
-
-    def var(self, axis=-1, keepdims=False):
-        """Population variance (divide by the axis length, not length-1)."""
-        m = self.mean(axis, keepdims=True)
-        d = self - m
-        return (d * d).mean(axis, keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -320,32 +318,38 @@ def dropout(x, p, rng=None, train=False):
 
 
 def matmul(a, b):
-    """Matrix product with numpy broadcasting over leading batch dims.
-
-    Both operands must have ndim >= 2.
-    """
+    """Matrix product over the last two axes of [..., m, k] @ [..., k, n]
+    operands whose leading batch dims are equal: no broadcasting."""
     a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(
-            f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}"
+            f"matmul needs [..., m, k] @ [..., k, n] with equal leading "
+            f"dims, got {a.shape} @ {b.shape}"
         )
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
-        )
-    try:
-        data = a.data @ b.data
-    except ValueError as e:
-        raise ShapeError(
-            f"matmul batch dimensions incompatible: {a.shape} @ {b.shape}"
-        ) from e
 
     def bwd(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
-    return _make(data, (a, b), bwd)
+    return _make(a.data @ b.data, (a, b), bwd)
+
+
+def linear(x, w, b):
+    """x @ w + b for x [..., k], w [k, n] and b [n], as one node: the
+    weight gradient is one 2-D product over every leading position and
+    the bias gradient a sum."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeError(
+            f"linear needs x [..., k], w [k, n] and b [n], got "
+            f"{x.shape}, {w.shape} and {b.shape}"
+        )
+    k, n = w.shape
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        return g @ w.data.T, x.data.reshape(-1, k).T @ g2, g2.sum(axis=0)
+
+    return _make(x.data @ w.data + b.data, (x, w, b), bwd)
 
 
 # -- reductions -----------------------------------------------------------
@@ -430,19 +434,29 @@ def concat(tensors, axis=0):
     return _make(data, tuple(tensors), bwd)
 
 
-def gather_rows(x, indices):
-    """out[k] = x[indices[k]]; the backward pass scatter-adds into rows,
-    so repeated indices accumulate."""
-    x = _wrap(x)
-    indices = np.asarray(indices, dtype=np.int64)
-    data = x.data[indices]
+def layer_norm(x, idx, gamma, beta, eps):
+    """x [B, T, d] normalized over its last axis, then every token of
+    sample i scaled and shifted by row idx[i] of the [n, d] gamma and beta.
+    The backward is the analytic LayerNorm gradient (Ba et al., 2016),
+    dx = (gh - mean(gh) - xhat * mean(gh * xhat)) / sigma with
+    gh = g * gamma[idx]; the gamma and beta rows sum over their samples."""
+    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
+    idx = np.asarray(idx, dtype=np.int64)
+    centered = x.data - x.data.mean(-1, keepdims=True)
+    sigma = np.sqrt((centered * centered).mean(-1, keepdims=True) + eps)
+    xhat = centered / sigma
+    scale = gamma.data[idx][:, None, :]
 
     def bwd(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, indices, g)
-        return (buf,)
+        gh = g * scale
+        gx = gh - gh.mean(-1, keepdims=True) - xhat * (gh * xhat).mean(-1, keepdims=True)
+        dgamma = np.zeros_like(gamma.data)
+        dbeta = np.zeros_like(beta.data)
+        np.add.at(dgamma, idx, (g * xhat).sum(axis=1))
+        np.add.at(dbeta, idx, g.sum(axis=1))
+        return gx / sigma, dgamma, dbeta
 
-    return _make(data, (x,), bwd)
+    return _make(scale * xhat + beta.data[idx][:, None, :], (x, gamma, beta), bwd)
 
 
 # -- composite numerically stable ops ---------------------------------------

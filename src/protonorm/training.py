@@ -334,14 +334,16 @@ def pretrain_losses(
 
 
 def _validation_loss(encoder, val_pool, aug_cfg, nt_cfg, seed, epoch, batch_size):
+    """Mean NT-Xent over the validation pool; the orthogonality penalty
+    measures the prototypes, not contrastive quality, so it is left out."""
     rng = _derived_rng(seed, epoch, 0x56414C)
     losses = []
     with no_grad():
         for batch in batches(val_pool, batch_size):
-            _, _, loss = pretrain_losses(
+            nt, _, _ = pretrain_losses(
                 encoder, batch, aug_cfg, nt_cfg, rng, None, train=False
             )
-            losses.append(loss.item())
+            losses.append(nt.item())
     return float(np.mean(losses))
 
 
@@ -367,7 +369,9 @@ def pretrain(
     contrastive loss with the weighted orthogonality penalty, backprop,
     AdamW, then apply the staged EMA prototype updates. With ``out_dir``
     set, checkpoints land there (last good epoch, best validation, final)
-    and divergence aborts with the last good checkpoint retained.
+    and divergence aborts with the last good checkpoint retained. The best
+    epoch is the one with the lowest validation NT-Xent: the orthogonality
+    penalty does not take part in choosing ``best.ckpt``.
     ``stop_after_steps`` interrupts mid-run for checkpoint-resume tests.
     """
     from .checkpoint import save_checkpoint

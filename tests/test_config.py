@@ -118,3 +118,42 @@ def test_well_typed_values_stay_valid(tmp_path, good):
             assert getattr(getattr(cfg, section), key) == value
     else:
         assert getattr(cfg, section) == fields
+
+
+BAD_RANGES = [
+    ({"k_datasets": 0}, "data.synthetic.k_datasets"),
+    ({"n_per": -3}, "data.synthetic.n_per"),
+    ({"length": 0}, "data.synthetic.length"),
+    ({"noise_std": -0.1}, "data.synthetic.noise_std"),
+    ({"freq_lo": 9.0, "freq_hi": 8.0}, "data.synthetic.freq_lo"),
+    ({"k_datasets": 3, "offsets": [0.0, 1.0]}, "data.synthetic.offsets"),
+]
+
+
+@pytest.mark.parametrize("bad, key", BAD_RANGES, ids=[key for _, key in BAD_RANGES])
+def test_out_of_range_synthetic_value_is_a_config_error(tmp_path, capsys, bad, key):
+    doc = _with(_desk_doc(tmp_path), {"data": {"synthetic": bad}})
+    path = _write(tmp_path, doc, "bad.json")
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} "):
+        load_run_config(path, env={})
+    out = tmp_path / "runs"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} "), key
+    assert not out.exists()
+
+
+BAD_SWEEPS = [
+    ("lambda", 5, "sweep.lambda"),
+    ("n_prototypes", ["x"], "sweep.n_prototypes[0]"),
+    ("n_prototypes", [4, 8.0], "sweep.n_prototypes[1]"),
+    ("sigma", [0.1, True], "sweep.sigma[1]"),
+]
+
+
+@pytest.mark.parametrize("axis, values, key", BAD_SWEEPS, ids=[key for *_, key in BAD_SWEEPS])
+def test_wrongly_typed_sweep_axis_is_a_config_error(tmp_path, capsys, axis, values, key):
+    path = _write(tmp_path, _with(_desk_doc(tmp_path), {"sweep": {axis: values}}), "bad.json")
+    out = tmp_path / "runs"
+    assert main(["sweep", axis, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be"), key
+    assert not out.exists()

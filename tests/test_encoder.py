@@ -14,7 +14,6 @@ from protonorm import (
     count_forward_macs,
     count_parameters,
     patchify,
-    unpatchify,
 )
 from protonorm.norm import MODES
 
@@ -59,9 +58,12 @@ def test_patchify_roundtrip_partition():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 70))
     tokens = patchify(x, 16)
-    rebuilt = unpatchify(tokens, channels=3)
+    assert tokens.shape == (5, 3 * 16)
     padded = np.concatenate([x, np.zeros((3, 80 - 70))], axis=1)
-    assert np.array_equal(rebuilt, padded)
+    # token t is the row-major flattening of window t of every channel
+    for t in range(5):
+        for c in range(3):
+            assert np.array_equal(tokens[t, c * 16 : (c + 1) * 16], padded[c, t * 16 : (t + 1) * 16])
 
 
 def test_patchify_rejects_oversize_patch():
@@ -163,6 +165,22 @@ def test_post_norm_sites_emit_unit_statistics():
         var = h.data.var(axis=-1)
         assert np.abs(mean).max() < 1e-5
         assert np.abs(var - 1.0).max() < 1e-5
+
+
+def test_norm_site_and_linear_each_record_one_node():
+    """A layer is one tape node: its parents are its input and its own
+    parameter arrays, none of which holds a node."""
+    enc, _ = build(small_cfg())
+    rng = np.random.default_rng(7)
+    tokens = Tensor(rng.normal(size=(3, 4, 8)), requires_grad=True)
+    h = Tensor(rng.normal(size=(3, 4, 16)), requires_grad=True)
+    lin, norm = enc.patch_embed, enc.blocks[0].norm1
+    for out, parents in (
+        (lin(tokens), (tokens, lin.w, lin.b)),
+        (norm.forward(h), (h, norm.gamma, norm.beta)),
+    ):
+        assert out._ctx.parents == parents
+        assert all(p._ctx is None for p in parents)
 
 
 def test_eval_mode_requires_classifier():

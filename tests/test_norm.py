@@ -78,26 +78,39 @@ def test_layer_norm_dim_mismatch():
 
 
 def test_layer_norm_gradients():
+    """x, gamma and beta gradients against finite differences of
+    ``_ln_ref``: on a plain site with one token per sample, and on a
+    proto-gated site with several tokens per sample where samples 0-2
+    share row 0 and samples 3-4 share row 1."""
     rng = np.random.default_rng(0)
-    x0 = rng.normal(size=(2, 1, 5))
-    g0 = rng.normal(size=5)
-    b0 = rng.normal(size=5)
-    w = rng.normal(size=(2, 1, 5))
+    d = 5
+    P = np.stack([np.full(d, 3.0), np.full(d, -3.0)])
+    plain = (rng.normal(size=(2, 1, d)), np.array([0, 0]), None)
+    shared = (np.concatenate([3.0 + rng.normal(size=(3, 4, d)),
+                              -3.0 + rng.normal(size=(2, 4, d))]),
+              np.array([0, 0, 0, 1, 1]), P)
+    for x0, idx, protos in (plain, shared):
+        n = len(set(idx))
+        g0 = rng.normal(size=(n, d))
+        b0 = rng.normal(size=(n, d))
+        w = rng.normal(size=x0.shape)
+        layer = _plain(g0[0], b0[0]) if protos is None else _gated(protos)
+        layer.gamma.data, layer.beta.data = g0.copy(), b0.copy()
 
-    def build(xa, ga, ba):
-        layer = _plain(ga, ba)
-        x = Tensor(xa, requires_grad=True)
-        return x, layer, (layer.forward(x) * Tensor(w)).sum()
+        def f(xa, ga, ba):
+            return (_ln_ref(xa, ga[idx][:, None, :], ba[idx][:, None, :]) * w).sum()
 
-    x, layer, loss = build(x0.copy(), g0.copy(), b0.copy())
-    assert np.allclose(loss.item(), (_ln_ref(x0, g0, b0) * w).sum(), rtol=1e-12)
-    loss.backward()
-    nx = numerical_gradient(lambda a: (_ln_ref(a, g0, b0) * w).sum(), x0.copy())
-    ng = numerical_gradient(lambda a: (_ln_ref(x0, a, b0) * w).sum(), g0.copy())
-    nb = numerical_gradient(lambda a: (_ln_ref(x0, g0, a) * w).sum(), b0.copy())
-    assert rel_error(x.grad, nx) < 1e-6
-    assert rel_error(layer.gamma.grad[0], ng) < 1e-6
-    assert rel_error(layer.beta.grad[0], nb) < 1e-6
+        x = Tensor(x0.copy(), requires_grad=True)
+        loss = (layer.forward(x) * Tensor(w)).sum()
+        assert np.array_equal(layer.last_assignments, idx)
+        assert np.allclose(loss.item(), f(x0, g0, b0), rtol=1e-12)
+        loss.backward()
+        nx = numerical_gradient(lambda a: f(a, g0, b0), x0.copy())
+        ng = numerical_gradient(lambda a: f(x0, a, b0), g0.copy())
+        nb = numerical_gradient(lambda a: f(x0, g0, a), b0.copy())
+        assert rel_error(x.grad, nx) < 1e-6
+        assert rel_error(layer.gamma.grad, ng) < 1e-6
+        assert rel_error(layer.beta.grad, nb) < 1e-6
 
 
 # -- gate ---------------------------------------------------------------

@@ -13,7 +13,8 @@ from protonorm import (
     concat,
     dropout,
     exp,
-    gather_rows,
+    layer_norm,
+    linear,
     log,
     logsumexp,
     matmul,
@@ -41,6 +42,13 @@ def test_matmul_shape_error_names_both_shapes():
     b = Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         a @ b
+    # leading batch dims must be equal: matmul does not broadcast
+    a = Tensor(np.zeros((2, 3, 4)))
+    b = Tensor(np.zeros((3, 4, 5)))
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+        a @ b
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(4, 5\)"):
+        a @ Tensor(np.zeros((4, 5)))
 
 
 def test_matmul_gradient_matches_finite_differences():
@@ -64,7 +72,7 @@ def test_matmul_gradient_matches_finite_differences():
 def test_batched_matmul_gradient():
     rng = np.random.default_rng(1)
     a0 = rng.normal(size=(2, 3, 4))
-    b0 = rng.normal(size=(4, 5))  # broadcast over the batch dim
+    b0 = rng.normal(size=(2, 4, 5))
     w = rng.normal(size=(2, 3, 5))
 
     a = Tensor(a0.copy(), requires_grad=True)
@@ -121,7 +129,9 @@ def test_softmax_invalid_axis():
 def test_mean_and_variance_hand_values():
     x = Tensor(np.array([1.0, 2.0, 3.0]))
     assert x.mean().item() == 2.0
-    assert abs(x.var(axis=0).item() - 2.0 / 3.0) < 1e-15  # population divisor
+    # layer_norm divides by the population standard deviation, sqrt(2/3)
+    out = layer_norm(x.reshape(1, 1, 3), [0], np.ones((1, 3)), np.zeros((1, 3)), 0.0)
+    assert np.abs(out.data[0, 0] - np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0)).max() < 1e-15
 
 
 def test_dropout_p_zero_is_identity():
@@ -227,12 +237,12 @@ def test_composite_chain_gradient():
     [
         "add", "sub", "mul", "div", "exp", "log", "sqrt", "relu",
         "sum_axis", "mean_axis", "reshape", "transpose", "concat",
-        "gather_rows", "logsumexp",
+        "logsumexp", "linear",
     ],
 )
 def test_primitive_gradients_match_finite_differences(name):
     rng = np.random.default_rng(hash(name) % 2**32)
-    shape = (3, 4)
+    shape = (2, 3, 4) if name == "linear" else (3, 4)
     x0 = rng.normal(size=shape)
     y0 = rng.normal(size=shape) + 2.5  # safe divisor
     w = rng.normal(size=shape)
@@ -277,9 +287,9 @@ def test_primitive_gradients_match_finite_differences(name):
         elif name == "concat":
             out = concat([x, Tensor(y0)], axis=0)
             return x, (out * Tensor(np.vstack([w, w]))).sum()
-        elif name == "gather_rows":
-            out = gather_rows(x, np.array([0, 2, 2, 1]))
-            return x, (out * Tensor(np.vstack([w, w[:1]]))).sum()
+        elif name == "linear":
+            out = linear(x, Tensor(y0[0].T), Tensor(y0[1, 0, :3]))  # [2, 3, 3]
+            return x, (out * Tensor(w[..., :3])).sum()
         elif name == "logsumexp":
             out = logsumexp(x, axis=1)
             return x, (out * Tensor(w[:, 0])).sum()
@@ -293,6 +303,30 @@ def test_primitive_gradients_match_finite_differences(name):
         return l.item()
 
     assert rel_error(x.grad, numerical_gradient(f, x0.copy())) < 1e-6
+
+
+def test_linear_weight_and_bias_gradients():
+    """The weight gradient sums over every leading position of a 3-D x
+    and the bias gradient over all of them (the x gradient is the
+    ``linear`` case of the primitive test)."""
+    rng = np.random.default_rng(8)
+    x0 = rng.normal(size=(2, 3, 4))
+    w0 = rng.normal(size=(4, 5))
+    b0 = rng.normal(size=5)
+    m = rng.normal(size=(2, 3, 5))
+
+    def f(wa, ba):
+        return float(((x0 @ wa + ba) * m).sum())
+
+    w = Tensor(w0.copy(), requires_grad=True)
+    b = Tensor(b0.copy(), requires_grad=True)
+    loss = (linear(Tensor(x0), w, b) * Tensor(m)).sum()
+    assert loss.item() == f(w0, b0)
+    loss.backward()
+    assert rel_error(w.grad, numerical_gradient(lambda a: f(a, b0), w0.copy())) < 1e-6
+    assert rel_error(b.grad, numerical_gradient(lambda a: f(w0, a), b0.copy())) < 1e-6
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(5, 4\).*\(4,\)"):
+        linear(Tensor(x0), Tensor(np.zeros((5, 4))), Tensor(np.zeros(4)))
 
 
 def test_replay_is_bit_identical():

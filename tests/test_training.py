@@ -28,6 +28,7 @@ from protonorm import (
     finetune,
     load_checkpoint,
     make_synthetic_clusters,
+    orthogonality_loss,
     pretrain,
     stratified_subset,
     train_val_split,
@@ -408,6 +409,25 @@ def test_pretrain_frozen_banks_take_no_gradient():
         assert np.array_equal(params[k].data, before[k]), k
     assert params["block0.norm1.gamma"].grad is not None
     assert not any(k.endswith(".prototypes") for k in result.state.moments)
+
+
+def test_validation_loss_leaves_out_the_orthogonality_penalty():
+    """``best.ckpt`` is ranked by validation NT-Xent alone: on one encoder
+    whose penalty is far from zero, the validation loss at lambda=0.01
+    equals the loss at lambda=0."""
+    from protonorm.training import _validation_loss
+
+    cfg, enc, streams = desk_encoder(seed=12, n_prototypes=4)
+    scramble = np.random.default_rng(13)
+    for bank in enc.banks():
+        bank.P.data = scramble.normal(size=bank.P.shape)
+    assert sum(orthogonality_loss(b.P).item() for b in enc.banks()) > 1.0
+    val = tiny_pool(seed=14, n=8)
+    losses = [
+        _validation_loss(enc, val, AugmentConfig(), NtXentConfig(lambda_orth=lam), 12, 0, 8)
+        for lam in (0.0, 0.01)
+    ]
+    assert losses[0] == losses[1]
 
 
 def test_pretrain_divergence_aborts(tmp_path):
