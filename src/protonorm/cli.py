@@ -321,15 +321,27 @@ def _run_leg(leg_cfg, axis, value):
     return _finetune(leg_cfg, encoder, splits).metrics
 
 
+def _leg_configs(cfg, axis):
+    """(value, config) of every leg, so that a value out of range is a
+    ConfigError naming ``sweep.<axis>[i]`` before any leg runs."""
+    if axis not in cfg.sweep:
+        raise ConfigError(f"sweep axis {axis!r} has no values in the config")
+    legs = []
+    for i, value in enumerate(cfg.sweep[axis]):
+        try:
+            legs.append((value, _leg_config(cfg, axis, value)))
+        except ConfigError as e:
+            raise ConfigError(f"sweep.{axis}[{i}]: {e}") from e
+    return legs
+
+
 def cmd_sweep(cfg, axis, out):
+    legs = _leg_configs(cfg, axis)
     run_dir = _start_run(out, f"sweep-{axis}", cfg)
 
     def body():
-        if axis not in cfg.sweep:
-            raise ConfigError(f"sweep axis {axis!r} has no values in the config")
         rows = []
-        for value in cfg.sweep[axis]:
-            leg_cfg = _leg_config(cfg, axis, value)
+        for value, leg_cfg in legs:
             started = time.monotonic()
             try:
                 metrics = _run_leg(leg_cfg, axis, value)

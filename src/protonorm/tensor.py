@@ -334,9 +334,11 @@ def matmul(a, b):
 
 
 def linear(x, w, b):
-    """x @ w + b for x [..., k], w [k, n] and b [n], as one node: the
-    weight gradient is one 2-D product over every leading position and
-    the bias gradient a sum."""
+    """x @ w + b for x [..., k], w [k, n] and b [n], as one node. x is
+    flattened to [-1, k] once, so the forward, the input gradient and the
+    weight gradient are one 2-D GEMM each over every leading position (a
+    batched [B, T, k] @ [k, n] runs one small GEMM per sample), and the
+    bias gradient is a sum. An x without requires_grad gets no gradient."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
         raise ShapeError(
@@ -344,12 +346,15 @@ def linear(x, w, b):
             f"{x.shape}, {w.shape} and {b.shape}"
         )
     k, n = w.shape
+    lead = x.shape[:-1]
+    x2 = x.data.reshape(-1, k)
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        return g @ w.data.T, x.data.reshape(-1, k).T @ g2, g2.sum(axis=0)
+        dx = (g2 @ w.data.T).reshape(*lead, k) if x.requires_grad else None
+        return dx, x2.T @ g2, g2.sum(axis=0)
 
-    return _make(x.data @ w.data + b.data, (x, w, b), bwd)
+    return _make((x2 @ w.data + b.data).reshape(*lead, n), (x, w, b), bwd)
 
 
 # -- reductions -----------------------------------------------------------

@@ -165,28 +165,45 @@ def adamw_step(params, state, lr, cfg):
     adaptive step. Parameters whose grad is None are skipped entirely, so
     e.g. prototypes receive no decay when the orthogonality penalty is
     off, and a frozen bank (whose prototypes take no gradient) is never
-    touched. A non-finite gradient aborts, naming the parameter.
+    touched. A non-finite gradient aborts, naming the parameter, before
+    any parameter, moment or ``state.step`` changes.
+
+    The moments and parameters are updated in place, through two scratch
+    buffers sized to the largest parameter, in the operation order of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p = p*(1 - lr*wd) - lr*(m/c1) / (sqrt(v/c2) + eps).
     """
+    stepped = {name: p for name, p in params.items() if p.grad is not None}
+    for name, p in stepped.items():
+        if not np.isfinite(p.grad).all():
+            raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
     b1, b2 = cfg.betas
     state.step += 1
     t = state.step
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for name, p in params.items():
+    size = max((p.data.size for p in stepped.values()), default=0)
+    scratch = np.empty(size), np.empty(size)
+    for name, p in stepped.items():
         g = p.grad
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
         if name not in state.moments:
             state.moments[name] = [np.zeros_like(p.data), np.zeros_like(p.data)]
         m, v = state.moments[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.moments[name] = [m, v]
+        s1, s2 = (buf[: g.size].reshape(g.shape) for buf in scratch)
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=s1)
+        v *= b2
+        np.multiply(g, g, out=s2)
+        v += np.multiply(1.0 - b2, s2, out=s2)
         if cfg.weight_decay:
-            p.data = p.data * (1.0 - lr * cfg.weight_decay)
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+            p.data *= 1.0 - lr * cfg.weight_decay
+        np.divide(m, c1, out=s1)
+        s1 *= lr
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += cfg.eps
+        s1 /= s2
+        p.data -= s1
 
 
 # -- metrics ---------------------------------------------------------------

@@ -157,3 +157,27 @@ def test_wrongly_typed_sweep_axis_is_a_config_error(tmp_path, capsys, axis, valu
     assert main(["sweep", axis, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} must be"), key
     assert not out.exists()
+
+
+OUT_OF_RANGE_SWEEPS = [
+    ("lambda", [0.0, -1.0], "sweep.lambda[1]"),
+    ("n_prototypes", [0], "sweep.n_prototypes[0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "axis, values, key", OUT_OF_RANGE_SWEEPS, ids=[key for *_, key in OUT_OF_RANGE_SWEEPS]
+)
+def test_out_of_range_sweep_value_fails_before_any_leg_runs(
+    tmp_path, capsys, monkeypatch, axis, values, key
+):
+    import protonorm.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_run_leg", lambda *leg: ran.append(leg))
+    path = _write(tmp_path, _with(_desk_doc(tmp_path), {"sweep": {axis: values}}), "bad.json")
+    out = tmp_path / "runs"
+    assert main(["sweep", axis, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: "), key
+    assert ran == []
+    assert not out.exists()

@@ -329,6 +329,45 @@ def test_linear_weight_and_bias_gradients():
         linear(Tensor(x0), Tensor(np.zeros((5, 4))), Tensor(np.zeros(4)))
 
 
+@pytest.mark.parametrize("lead", [(6,), (2, 3), (2, 3, 2)], ids=["2d", "3d", "4d"])
+def test_linear_is_one_2d_gemm_with_checked_gradients(lead):
+    """The output is the flattened product x.reshape(-1, k) @ w + b bit
+    for bit, for a 2-, 3- and 4-D x, and the x, w and b gradients match
+    finite differences."""
+    rng = np.random.default_rng(len(lead))
+    x0 = rng.normal(size=(*lead, 4))
+    w0 = rng.normal(size=(4, 5))
+    b0 = rng.normal(size=5)
+    m = rng.normal(size=(*lead, 5))
+
+    def f(xa, wa, ba):
+        return float(((xa @ wa + ba) * m).sum())
+
+    x = Tensor(x0.copy(), requires_grad=True)
+    w = Tensor(w0.copy(), requires_grad=True)
+    b = Tensor(b0.copy(), requires_grad=True)
+    out = linear(x, w, b)
+    assert np.array_equal(out.data, (x0.reshape(-1, 4) @ w0 + b0).reshape(*lead, 5))
+    (out * Tensor(m)).sum().backward()
+    assert rel_error(x.grad, numerical_gradient(lambda a: f(a, w0, b0), x0.copy())) < 1e-6
+    assert rel_error(w.grad, numerical_gradient(lambda a: f(x0, a, b0), w0.copy())) < 1e-6
+    assert rel_error(b.grad, numerical_gradient(lambda a: f(x0, w0, a), b0.copy())) < 1e-6
+
+
+def test_linear_gives_no_input_gradient_to_a_constant_x():
+    """A patch embedding's tokens take no gradient, so ``linear`` does not
+    form the dx product for them: its closure returns None for x."""
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    out = linear(x, w, b)
+    dx, dw, db = out._ctx.backward(np.ones(out.shape))
+    assert dx is None and dw.shape == (4, 5) and db.shape == (5,)
+    out.sum().backward()
+    assert x.grad is None and w.grad is not None
+
+
 def test_replay_is_bit_identical():
     def run():
         rng = np.random.default_rng(123)

@@ -134,6 +134,66 @@ def test_adamw_aborts_on_nan_gradient_naming_parameter():
         adamw_step({"weird.w": p}, state, 1e-3, cfg)
 
 
+def test_adamw_nan_gradient_leaves_everything_untouched():
+    """A non-finite gradient in the second of three parameters raises
+    before the first is stepped: parameters, moments and the step count
+    keep their bits."""
+    rng = np.random.default_rng(4)
+    params = {n: Tensor(rng.normal(size=(3, 2)), requires_grad=True) for n in "abc"}
+    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
+    state = TrainState(streams=RngStreams.from_seed(0))
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    adamw_step(params, state, 1e-2, cfg)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    params["b"].grad[1, 0] = np.inf
+    data = {n: p.data.copy() for n, p in params.items()}
+    moments = {n: [m.copy(), v.copy()] for n, (m, v) in state.moments.items()}
+    with pytest.raises(TrainingDiverged, match="'b'"):
+        adamw_step(params, state, 1e-2, cfg)
+    assert state.step == 1
+    for n, p in params.items():
+        assert np.array_equal(p.data, data[n])
+        assert all(np.array_equal(a, b) for a, b in zip(state.moments[n], moments[n]))
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.05])
+def test_adamw_in_place_update_equals_the_out_of_place_formula(wd):
+    """Several steps over parameters of several shapes (one without a
+    gradient) give the bits of the textbook out-of-place update."""
+    rng = np.random.default_rng(5)
+    shapes = {"w": (4, 6), "b": (6,), "gamma": (2, 3, 5), "frozen": (3,)}
+    params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+    ref = {n: p.data.copy() for n, p in params.items()}
+    moments = {n: [0.0, 0.0] for n in shapes}
+    cfg = OptimConfig(weight_decay=wd, warmup_steps=0, total_steps=1)
+    b1, b2 = cfg.betas
+    state = TrainState(streams=RngStreams.from_seed(0))
+    for t in range(1, 5):
+        lr = 1e-2 / t
+        for n, p in params.items():
+            p.grad = None if n == "frozen" else rng.normal(size=p.shape)
+        adamw_step(params, state, lr, cfg)
+        for n, p in params.items():
+            if p.grad is None:
+                continue
+            m, v = moments[n]
+            m = b1 * m + (1.0 - b1) * p.grad
+            v = b2 * v + (1.0 - b2) * (p.grad * p.grad)
+            moments[n] = [m, v]
+            if wd:
+                ref[n] = ref[n] * (1.0 - lr * wd)
+            ref[n] = ref[n] - lr * (m / (1.0 - b1**t)) / (
+                np.sqrt(v / (1.0 - b2**t)) + cfg.eps
+            )
+    assert state.step == 4 and "frozen" not in state.moments
+    for n, p in params.items():
+        assert np.array_equal(p.data, ref[n]), n
+        if n != "frozen":
+            assert all(np.array_equal(a, b) for a, b in zip(state.moments[n], moments[n]))
+
+
 # -- cross entropy and metrics ---------------------------------------------
 
 
