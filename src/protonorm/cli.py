@@ -46,9 +46,9 @@ from .training import (
 TRACE_HEADER = ("step", "lr", "loss_nt", "loss_orth", "loss_total")
 SWEEP_HEADER = ("axis", "value", "accuracy", "macro_f1", "param_count", "runtime_s", "status")
 
-# Each sweep axis and the override flag that sets it; sigma changes only
-# the pretraining pool, not the config.
-SWEEP_AXES = {"n_prototypes": "prototypes", "sigma": None, "lambda": "lambda_orth"}
+# The override flag that sets each sweep axis but sigma, whose leg sets
+# data.sigmas to its one noise level.
+SWEEP_AXES = {"n_prototypes": "prototypes", "lambda": "lambda_orth"}
 
 
 def _run_dir(out, command, cfg):
@@ -287,14 +287,16 @@ def cmd_eval(cfg, model_path, out):
 
 
 def _leg_config(cfg, axis, value):
-    flag = SWEEP_AXES[axis]
-    if flag is None:
-        return cfg
-    return build_run_config(_merge(cfg.resolved, _overrides({}, {flag: value})))
+    if axis == "sigma":
+        override = {"data": {"sigmas": [value]}}
+    else:
+        override = _overrides({}, {SWEEP_AXES[axis]: value})
+    return build_run_config(_merge(cfg.resolved, override))
 
 
-def _run_leg(leg_cfg, axis, value):
-    """One pretrain -> finetune -> eval pipeline, in memory."""
+def _run_leg(leg_cfg, axis):
+    """One pretrain -> finetune -> eval pipeline, in memory. A sigma leg
+    pretrains on the source and one variant noised by its data.sigmas."""
     if axis == "sigma":
         if leg_cfg.data.source_path is None:
             raise ConfigError("sigma sweep needs data.source_path")
@@ -305,8 +307,9 @@ def _run_leg(leg_cfg, axis, value):
         src_train, src_test = train_val_split(
             source, leg_cfg.data.test_fraction, split_rng
         )
+        (sigma,) = leg_cfg.data.sigmas
         variant = make_shifted_variant(
-            src_train, float(value), _derived_rng(leg_cfg.seed, 12), dataset_id=1
+            src_train, sigma, _derived_rng(leg_cfg.seed, 12), dataset_id=1
         )
         train_pool = [src_train, variant]
         val_pool = None
@@ -344,7 +347,7 @@ def cmd_sweep(cfg, axis, out):
         for value, leg_cfg in legs:
             started = time.monotonic()
             try:
-                metrics = _run_leg(leg_cfg, axis, value)
+                metrics = _run_leg(leg_cfg, axis)
                 rows.append(
                     [
                         axis,
@@ -419,7 +422,7 @@ def build_parser():
     _add_common_flags(p)
 
     p = sub.add_parser("sweep", help="run a pipeline per axis value")
-    p.add_argument("axis", choices=list(SWEEP_AXES))
+    p.add_argument("axis", choices=["n_prototypes", "sigma", "lambda"])
     _add_common_flags(p)
 
     return parser

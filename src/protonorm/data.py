@@ -4,6 +4,8 @@ The on-disk format is one sample per line: an integer class label followed
 by the flattened series values, separated by tabs or commas (auto-detected,
 whitespace tolerated). Loading remaps labels to a dense 0-based range and
 z-scores each series.
+In memory a dataset's series are one float64 ``[N, C, L]`` array, a pool
+is one ``Batch`` of its samples, and a batch is that ``Batch`` indexed.
 """
 
 from __future__ import annotations
@@ -35,13 +37,20 @@ _ZSCORE_EPS = 1e-8
 
 @dataclass
 class Dataset:
+    """N labeled series of one shape, held as a float64 ``[N, C, L]`` array;
+    a sequence of ``[C, L]`` arrays is stacked."""
+
     name: str
-    series: list  # each entry [C, L] float64
+    series: np.ndarray  # float64 [N, C, L]
     labels: np.ndarray  # int64 [N]
     dataset_id: int = 0
     split: str = "train"
 
     def __post_init__(self):
+        shapes = {np.shape(s) for s in self.series}
+        if len(shapes) > 1:
+            raise ShapeError(f"{self.name}: series differ in shape: {sorted(shapes)}")
+        self.series = np.asarray(self.series, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.series) != len(self.labels):
             raise InputError(
@@ -53,7 +62,7 @@ class Dataset:
 
     @property
     def shape(self):
-        return self.series[0].shape if self.series else None
+        return self.series.shape[1:] if len(self) else None
 
 
 @dataclass
@@ -72,10 +81,16 @@ class Batch:
     x: np.ndarray  # [B, C, L]
     labels: np.ndarray  # int64 [B]
     dataset_ids: np.ndarray  # int64 [B]
-    indices: np.ndarray | None = None  # positions within the pool
+    indices: np.ndarray  # positions within the pool
 
     def __len__(self):
         return self.x.shape[0]
+
+    def __getitem__(self, sel):
+        """The batch of the samples at positions ``sel`` of this one."""
+        return Batch(
+            self.x[sel], self.labels[sel], self.dataset_ids[sel], self.indices[sel]
+        )
 
 
 def _zscore(series):
@@ -141,7 +156,7 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train"):
     uniq = sorted(set(raw_labels))
     remap = {orig: i for i, orig in enumerate(uniq)}
     labels = np.asarray([remap[l] for l in raw_labels], dtype=np.int64)
-    series = [_zscore(r)[None, :] for r in rows]
+    series = np.stack([_zscore(r) for r in rows])[:, None, :]
     return Dataset(
         name=name or str(path),
         series=series,
@@ -175,7 +190,7 @@ def save_ucr_tsv(ds, path, delimiter="\t"):
     not at all."""
     lines = []
     for s, label in zip(ds.series, ds.labels):
-        flat = np.asarray(s).ravel()
+        flat = s.ravel()
         lines.append(delimiter.join([str(int(label))] + [repr(float(v)) for v in flat]) + "\n")
     write_atomic(path, "".join(lines).encode("utf-8"))
 
@@ -231,14 +246,14 @@ def make_shifted_variant(ds, noise_std, rng=None, name=None, dataset_id=None):
     """Copy of a dataset with i.i.d. Gaussian noise of the given std added
     to every series. Labels are preserved; a new dataset id marks the
     variant as a distinct member of a pretraining pool."""
-    if noise_std < 0.0:
-        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0.0 <= noise_std < np.inf:
+        raise ConfigError(f"noise_std must be finite and >= 0, got {noise_std}")
     if noise_std > 0.0 and rng is None:
         raise InputError("make_shifted_variant with noise_std > 0 needs an rng")
     if noise_std == 0.0:
-        series = [s.copy() for s in ds.series]
+        series = ds.series.copy()
     else:
-        series = [s + rng.normal(0.0, noise_std, s.shape) for s in ds.series]
+        series = ds.series + rng.normal(0.0, noise_std, ds.series.shape)
     return Dataset(
         name=name or f"{ds.name}-noise{noise_std:g}",
         series=series,
@@ -278,26 +293,18 @@ def make_synthetic_clusters(
     t = np.arange(length) / length
     out = []
     for k in range(k_datasets):
-        series = []
-        labels = np.empty(n_per, dtype=np.int64)
-        for i in range(n_per):
-            label = i % 2
+        series = np.empty((n_per, 1, length))
+        labels = np.arange(n_per, dtype=np.int64) % 2
+        for i, label in enumerate(labels):
             f = rng.uniform(lo, mid) if label == 0 else rng.uniform(mid, hi)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             wave = np.sin(2.0 * np.pi * f * t + phase)
             noise = rng.normal(0.0, noise_std, length)
-            series.append((offsets[k] + scales[k] * wave + noise)[None, :])
-            labels[i] = label
+            series[i, 0] = offsets[k] + scales[k] * wave + noise
         out.append(
             Dataset(name=f"cluster{k}", series=series, labels=labels, dataset_id=k)
         )
     return out
-
-
-def _as_pool(pool):
-    if isinstance(pool, Dataset):
-        return [pool]
-    return list(pool)
 
 
 def batches(pool, batch_size, shuffle_rng=None):
@@ -309,43 +316,29 @@ def batches(pool, batch_size, shuffle_rng=None):
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    series, labels, ids = flatten_pool(pool)
-    n = len(series)
+    union = flatten_pool(pool)
+    n = len(union)
     order = shuffle_rng.permutation(n) if shuffle_rng is not None else np.arange(n)
-    yield from batches_from_order(series, labels, ids, order, batch_size)
-
-
-def batches_from_order(series, labels, dataset_ids, order, batch_size):
-    """Batches following an explicit sample order (used by the training
-    loop so a checkpoint can resume mid-epoch on the same order)."""
-    for start in range(0, len(order), batch_size):
-        sel = order[start : start + batch_size]
-        x = np.stack([series[i] for i in sel])
-        yield Batch(
-            x=x,
-            labels=labels[sel],
-            dataset_ids=dataset_ids[sel],
-            indices=sel.copy(),
-        )
+    for start in range(0, n, batch_size):
+        yield union[order[start : start + batch_size]]
 
 
 def flatten_pool(pool):
-    """(series list, labels, dataset_ids) for the union of a pool, whose
-    datasets must all hold series of one shape."""
-    datasets = _as_pool(pool)
-    series, labels, ids = [], [], []
-    for ds in datasets:
-        if series and len(ds) and ds.shape != series[0].shape:
+    """The union of a pool as one Batch, in pool order, with ``indices``
+    its positions; the pool's datasets must all hold series of one shape."""
+    datasets = [ds for ds in ([pool] if isinstance(pool, Dataset) else pool) if len(ds)]
+    if not datasets:
+        raise InputError("empty pool: no samples to batch")
+    for ds in datasets[1:]:
+        if ds.shape != datasets[0].shape:
             raise ShapeError(
                 f"pool is not homogeneous: {ds.name} has shape {ds.shape}, "
-                f"expected {series[0].shape}"
+                f"expected {datasets[0].shape}"
             )
-        series.extend(ds.series)
-        labels.append(ds.labels)
-        ids.append(np.full(len(ds), ds.dataset_id, dtype=np.int64))
-    if not series:
-        raise InputError("empty pool: no samples to batch")
-    return series, np.concatenate(labels), np.concatenate(ids)
+    x = np.concatenate([ds.series for ds in datasets])
+    labels = np.concatenate([ds.labels for ds in datasets])
+    ids = np.repeat([ds.dataset_id for ds in datasets], [len(ds) for ds in datasets])
+    return Batch(x, labels, ids.astype(np.int64), np.arange(len(x)))
 
 
 def train_val_split(ds, val_fraction=0.2, rng=None):
@@ -360,7 +353,7 @@ def train_val_split(ds, val_fraction=0.2, rng=None):
     def take(idx, split):
         return Dataset(
             name=ds.name,
-            series=[ds.series[i] for i in idx],
+            series=ds.series[idx],
             labels=ds.labels[idx],
             dataset_id=ds.dataset_id,
             split=split,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .contrastive import augment_pair, nt_xent, total_loss
-from .data import Dataset, batches, batches_from_order, flatten_pool
+from .data import Dataset, batches, flatten_pool
 from .errors import (
     ConfigError,
     ContractError,
@@ -393,11 +393,18 @@ def pretrain(
     """
     from .checkpoint import save_checkpoint
 
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if state is None:
         state = TrainState(streams=RngStreams.from_seed(seed))
     streams = state.streams
-    series, labels, ids = flatten_pool(pool)
-    n = len(series)
+    union = flatten_pool(pool)
+    n = len(union)
+    if state.batch_order is not None and len(state.batch_order) != n:
+        raise InputError(
+            f"the resumed epoch orders {len(state.batch_order)} samples "
+            f"but the pool holds {n}"
+        )
     steps_per_epoch = math.ceil(n / batch_size)
     optim = optim_cfg.resolved(epochs * steps_per_epoch)
     all_params = encoder.parameters()
@@ -417,10 +424,7 @@ def pretrain(
         if state.batch_order is None:
             state.batch_order = streams.shuffle.permutation(n)
             state.batch_idx = 0
-        batch_list = list(
-            batches_from_order(series, labels, ids, state.batch_order, batch_size)
-        )
-        while state.batch_idx < len(batch_list):
+        while state.batch_idx < steps_per_epoch:
             if stop_after_steps is not None and state.step >= stop_after_steps:
                 checkpoint_to("interrupt")
                 return PretrainResult(
@@ -431,7 +435,8 @@ def pretrain(
                     interrupted=True,
                     final_checkpoint=paths.get("interrupt"),
                 )
-            batch = batch_list[state.batch_idx]
+            start = state.batch_idx * batch_size
+            batch = union[state.batch_order[start : start + batch_size]]
             nt, orth_terms, loss = pretrain_losses(
                 encoder, batch, aug_cfg, nt_cfg, streams.augment, streams.dropout,
                 histograms=histograms,
@@ -517,7 +522,7 @@ def stratified_subset(ds, n_labeled, rng, min_per_class=5):
     chosen = np.sort(chosen)
     return Dataset(
         name=ds.name,
-        series=[ds.series[i] for i in chosen],
+        series=ds.series[chosen],
         labels=ds.labels[chosen],
         dataset_id=ds.dataset_id,
         split=ds.split,
@@ -552,6 +557,8 @@ def finetune(
     reports held-out test metrics. Prototype bit-stability is asserted
     every epoch.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     train_ds, val_ds, test_ds = splits
     state = TrainState(streams=RngStreams.from_seed(seed))
     streams = state.streams

@@ -490,7 +490,9 @@ def test_acceptance_distribution_shift_direction():
     report(
         "distribution-shift direction",
         f"mean accuracy proto-gated {mean_p:.4f} >= plain-LN {mean_l:.4f} "
-        f"over {len(SHIFT_SEEDS)} seeds (sigma={SHIFT_SIGMA}), {elapsed:.0f}s",
+        f"(margin {mean_p - mean_l:.4f}) over {len(SHIFT_SEEDS)} seeds "
+        f"(sigma={SHIFT_SIGMA}), per seed proto {[round(a, 4) for a in protos]}, "
+        f"plain {[round(a, 4) for a in plains]}, {elapsed:.0f}s",
     )
 
 

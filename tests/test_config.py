@@ -162,6 +162,8 @@ def test_wrongly_typed_sweep_axis_is_a_config_error(tmp_path, capsys, axis, valu
 OUT_OF_RANGE_SWEEPS = [
     ("lambda", [0.0, -1.0], "sweep.lambda[1]"),
     ("n_prototypes", [0], "sweep.n_prototypes[0]"),
+    ("sigma", [0.1, -0.1], "sweep.sigma[1]"),
+    ("sigma", [float("nan")], "sweep.sigma[0]"),
 ]
 
 

@@ -195,6 +195,13 @@ def test_shift_variant_noise_variance():
     assert abs(diffs.var() - sigma**2) / sigma**2 < 0.05
 
 
+def test_shift_variant_rejects_non_finite_noise():
+    ds = make_synthetic_clusters(1, 4, 16, np.random.default_rng(7))[0]
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="noise_std must be finite"):
+            make_shifted_variant(ds, bad, np.random.default_rng(8))
+
+
 def test_shift_variant_sigma_set():
     ds = make_synthetic_clusters(1, 4, 16, np.random.default_rng(7))[0]
     rng = np.random.default_rng(8)
@@ -274,6 +281,26 @@ def test_batches_heterogeneous_pool_rejected():
     b = make_synthetic_clusters(1, 3, 32, np.random.default_rng(17))[0]
     with pytest.raises(ShapeError):
         list(batches([a, b], 2))
+
+
+def test_dataset_of_unequal_series_rejected_by_name():
+    series = [np.zeros((1, 16)), np.zeros((1, 16)), np.zeros((1, 12))]
+    with pytest.raises(ShapeError, match="ragged"):
+        Dataset("ragged", series, np.array([0, 1, 0]))
+
+
+def test_batches_hold_the_pool_samples_at_their_indices():
+    pool = make_synthetic_clusters(3, 7, 16, np.random.default_rng(20))
+    series = np.concatenate([np.stack(list(ds.series)) for ds in pool])
+    labels = np.concatenate([ds.labels for ds in pool])
+    ids = np.repeat([ds.dataset_id for ds in pool], [len(ds) for ds in pool])
+    seen = []
+    for b in batches(pool, 4, np.random.default_rng(21)):
+        assert np.array_equal(b.x, series[b.indices])
+        assert np.array_equal(b.labels, labels[b.indices])
+        assert np.array_equal(b.dataset_ids, ids[b.indices])
+        seen.extend(b.indices.tolist())
+    assert sorted(seen) == list(range(21)) and seen != list(range(21))
 
 
 def test_train_val_split_sizes():

@@ -324,6 +324,22 @@ def run_pretrain(encoder, streams, pool, seed=0, epochs=2, lam=0.001, batch=8, *
     )
 
 
+def test_loops_reject_batch_size_below_one(tmp_path):
+    cfg, enc, streams = desk_encoder()
+    before = {k: t.data.copy() for k, t in enc.parameters().items()}
+    with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+        run_pretrain(enc, streams, tiny_pool(), batch=0, out_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+        finetune(
+            separable_task(), enc, OptimConfig(warmup_steps=2),
+            epochs=1, batch_size=0, n_labeled="all", seed=0,
+        )
+    assert list(tmp_path.iterdir()) == []
+    after = enc.parameters()
+    assert after.keys() == before.keys()
+    assert all(np.array_equal(after[k].data, v) for k, v in before.items())
+
+
 def test_pretrain_smoke_runs_and_logs():
     cfg, enc, streams = desk_encoder()
     result = run_pretrain(enc, streams, tiny_pool())
@@ -361,6 +377,17 @@ def test_resumed_histograms_add_up_to_the_uninterrupted_run(tmp_path):
         resumed = [a + b for a, b in zip(first.assignment_histograms[key],
                                          rest.assignment_histograms[key])]
         assert resumed == counts, key
+
+
+def test_resume_on_a_pool_of_another_size_rejected():
+    _, enc, streams = desk_encoder(seed=13)
+    first = run_pretrain(enc, streams, tiny_pool(n=8), seed=13, batch=4, stop_after_steps=1)
+    with pytest.raises(InputError, match="orders 16 samples but the pool holds 48"):
+        pretrain(
+            tiny_pool(), first.encoder, AugmentConfig(), NtXentConfig(),
+            OptimConfig(warmup_steps=5),
+            epochs=2, batch_size=4, seed=13, state=first.state,
+        )
 
 
 def test_dataset_indexed_pretraining_has_no_orthogonality_term():
