@@ -9,12 +9,13 @@ Layout (all integers little-endian):
     per section:    name length u16, name utf-8, payload length u64, crc32 u32
     payloads        concatenated in table order
 
-Sections: ``config`` (canonical JSON), ``arrays`` (every parameter,
-optimizer moment, and the in-flight batch order, as named raw
-float64/int64 blocks), ``state`` (loop position, best validation loss,
-rng stream states, one frozen flag per norm site, null where the site has
-no bank, and metadata, as canonical JSON). The EMA coefficient is not
-stored per bank: the embedded config's ``encoder.ema_alpha`` fixes it.
+Sections: ``config`` (canonical JSON), ``arrays`` (every parameter, the
+optimizer moments of those parameters, and the in-flight batch order, as
+named raw float64/int64 blocks), ``state`` (loop position, best
+validation loss, rng stream states, one frozen flag per norm site, null
+where the site has no bank, and metadata, as canonical JSON). The EMA
+coefficient is not stored per bank: the embedded config's
+``encoder.ema_alpha`` fixes it.
 Every section is CRC checked on load; a flipped byte raises rather than
 loading silently.
 
@@ -101,9 +102,12 @@ def _unpack_arrays(payload):
 
 def _gather(encoder, state, meta):
     arrays = {}
-    for name, t in encoder.parameters().items():
+    params = encoder.parameters()
+    for name, t in params.items():
         arrays[f"param.{name}"] = t.data
-    for name in sorted(state.moments):
+    # Moments of a parameter the encoder no longer has (a dropped
+    # projection head) have nothing to step, so they are not kept.
+    for name in sorted(state.moments.keys() & params.keys()):
         m, v = state.moments[name]
         arrays[f"optim.m.{name}"] = m
         arrays[f"optim.v.{name}"] = v
@@ -202,7 +206,8 @@ def load_checkpoint(path):
 
     Verifies magic, schema version, per-section CRCs, and the config
     digest before touching any payload; corrupt files never load
-    partially.
+    partially. Every parameter array, and each optimizer moment pair,
+    must name a parameter of the config-built encoder and have its shape.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -240,17 +245,28 @@ def load_checkpoint(path):
             raise IntegrityError(
                 f"parameter {name!r} shape {arr.shape} != expected {t.data.shape}"
             )
-        t.data = arr.astype(np.float64)
+        t.data = arr.astype(np.float64, copy=False)
 
     for i, layer in enumerate(encoder.protonorm_layers()):
         if layer.bank is not None:
             layer.bank.frozen = bool(state_doc["banks"][i])
 
     moments = {}
-    for key in arrays:
-        if key.startswith("optim.m."):
-            name = key[len("optim.m.") :]
-            moments[name] = [arrays[key], arrays[f"optim.v.{name}"]]
+    for key, arr in arrays.items():
+        if not key.startswith("optim."):
+            continue
+        kind, _, name = key[len("optim.") :].partition(".")
+        if kind not in ("m", "v") or name not in params:
+            raise IntegrityError(f"optimizer array {key!r} names no parameter")
+        if arr.shape != params[name].data.shape:
+            raise IntegrityError(
+                f"optimizer array {key!r} shape {arr.shape} != parameter shape "
+                f"{params[name].data.shape}"
+            )
+        moments.setdefault(name, [None, None])["mv".index(kind)] = arr
+    for name, pair in moments.items():
+        if any(a is None for a in pair):
+            raise IntegrityError(f"parameter {name!r} has only one optimizer moment")
     state = TrainState(
         streams=RngStreams.from_state(state_doc["rng"]),
         step=state_doc["step"],

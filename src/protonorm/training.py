@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     ContractError,
     InputError,
+    ShapeError,
     TrainingDiverged,
 )
 from .norm import orthogonality_loss
@@ -158,6 +159,12 @@ def cosine_warmup_lr(step, cfg):
     return cfg.lr_floor + (cfg.lr_peak - cfg.lr_floor) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+# Entries per block of `adamw_step`: a block of the gradient, both
+# moments, the parameter and the two scratch buffers (6 x 128 KiB of
+# float64) stay in a core's L2 through all of its passes.
+ADAMW_CHUNK = 16384
+
+
 def adamw_step(params, state, lr, cfg):
     """One decoupled-weight-decay Adam update over named parameters.
 
@@ -165,45 +172,82 @@ def adamw_step(params, state, lr, cfg):
     adaptive step. Parameters whose grad is None are skipped entirely, so
     e.g. prototypes receive no decay when the orthogonality penalty is
     off, and a frozen bank (whose prototypes take no gradient) is never
-    touched. A non-finite gradient aborts, naming the parameter, before
-    any parameter, moment or ``state.step`` changes.
+    touched. A gradient or moment whose shape differs from its parameter's
+    raises ``ShapeError``, and a non-finite gradient ``TrainingDiverged``,
+    naming the parameter, before any parameter, moment or ``state.step``
+    changes.
 
-    The moments and parameters are updated in place, through two scratch
-    buffers sized to the largest parameter, in the operation order of
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    p = p*(1 - lr*wd) - lr*(m/c1) / (sqrt(v/c2) + eps).
+    The moments and parameters are updated in place, in the operation
+    order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p = p*(1 - lr*wd) - lr*(m/c1) / (sqrt(v/c2) + eps). Every operation is
+    elementwise, so a parameter is walked in flat blocks of
+    ``ADAMW_CHUNK`` entries, and a block runs all of its about 15 passes,
+    through two scratch buffers of one block, while it is in cache: a
+    paper-scale parameter set is read from memory about once per step
+    instead of once per pass, with the same bits.
     """
     stepped = {name: p for name, p in params.items() if p.grad is not None}
+    finite = np.empty(ADAMW_CHUNK, dtype=bool)
     for name, p in stepped.items():
-        if not np.isfinite(p.grad).all():
-            raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
+        shapes = [a.shape for a in (p.grad, *state.moments.get(name, ()))]
+        if set(shapes) != {p.data.shape}:
+            raise ShapeError(
+                f"parameter {name!r} has shape {p.data.shape}, but its "
+                f"gradient and moments have shapes {shapes}"
+            )
+        g = p.grad.reshape(-1)
+        for i in range(0, g.size, ADAMW_CHUNK):
+            block = g[i : i + ADAMW_CHUNK]
+            if not np.isfinite(block, out=finite[: block.size]).all():
+                raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
     b1, b2 = cfg.betas
     state.step += 1
     t = state.step
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    size = max((p.data.size for p in stepped.values()), default=0)
-    scratch = np.empty(size), np.empty(size)
+    a1, a2, eps = 1.0 - b1, 1.0 - b2, cfg.eps
+    decay = 1.0 - lr * cfg.weight_decay if cfg.weight_decay else None
+    scratch1, scratch2 = np.empty(ADAMW_CHUNK), np.empty(ADAMW_CHUNK)
     for name, p in stepped.items():
-        g = p.grad
         if name not in state.moments:
-            state.moments[name] = [np.zeros_like(p.data), np.zeros_like(p.data)]
+            state.moments[name] = [np.zeros(p.data.shape), np.zeros(p.data.shape)]
         m, v = state.moments[name]
-        s1, s2 = (buf[: g.size].reshape(g.shape) for buf in scratch)
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=s1)
-        v *= b2
-        np.multiply(g, g, out=s2)
-        v += np.multiply(1.0 - b2, s2, out=s2)
-        if cfg.weight_decay:
-            p.data *= 1.0 - lr * cfg.weight_decay
-        np.divide(m, c1, out=s1)
-        s1 *= lr
-        np.divide(v, c2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += cfg.eps
-        s1 /= s2
-        p.data -= s1
+        n, shape = p.data.size, p.data.shape
+        if n <= ADAMW_CHUNK:
+            # One block: the arrays themselves, stepped in place whatever
+            # their layout.
+            written = owned = ()
+            s1, s2 = scratch1[:n].reshape(shape), scratch2[:n].reshape(shape)
+            blocks = [(p.grad, m, v, p.data, s1, s2)]
+        else:
+            # Flat blocks view an array only if it is C-contiguous, so any
+            # other is stepped as a contiguous copy and written back below.
+            written = (m, v, p.data)
+            owned = [a if a.flags.c_contiguous else a.copy() for a in written]
+            g, m, v, data = (a.reshape(-1) for a in (p.grad, *owned))
+            blocks = []
+            for i in range(0, n, ADAMW_CHUNK):
+                j = min(i + ADAMW_CHUNK, n)
+                s1, s2 = scratch1[: j - i], scratch2[: j - i]
+                blocks.append((g[i:j], m[i:j], v[i:j], data[i:j], s1, s2))
+        for gi, mi, vi, pi, s1, s2 in blocks:
+            mi *= b1
+            mi += np.multiply(a1, gi, out=s1)
+            vi *= b2
+            np.multiply(gi, gi, out=s2)
+            vi += np.multiply(a2, s2, out=s2)
+            if decay is not None:
+                pi *= decay
+            np.divide(mi, c1, out=s1)
+            s1 *= lr
+            np.divide(vi, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s1 /= s2
+            pi -= s1
+        for dst, src in zip(written, owned):
+            if src is not dst:
+                dst[...] = src
 
 
 # -- metrics ---------------------------------------------------------------
@@ -626,6 +670,6 @@ def finetune(
 
     if best_params is not None:
         for k, t in encoder.parameters().items():
-            t.data = best_params[k].copy()
+            t.data = best_params[k]
     metrics = evaluate(encoder, test_ds, batch_size)
     return FinetuneResult(encoder, metrics, rows, val_history, best_epoch)

@@ -21,6 +21,7 @@ from protonorm import (
     pretrain,
     save_checkpoint,
 )
+from protonorm import checkpoint
 from protonorm.checkpoint import MAGIC
 from protonorm.training import _count_assignments
 
@@ -218,3 +219,58 @@ def test_classifier_and_dropped_head_roundtrip(tmp_path):
     assert enc2.n_classes == 4
     assert meta["n_classes"] == 4 and meta["has_projection"] is False
     assert np.array_equal(enc.classifier.w.data, enc2.classifier.w.data)
+
+
+def _stray_moment(arrays):
+    arrays["optim.m.nowhere"] = arrays["optim.v.nowhere"] = np.zeros(3)
+
+
+def _lone_moment(arrays):
+    del arrays[next(k for k in arrays if k.startswith("optim.v."))]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_stray_moment, "'optim.m.nowhere' names no parameter"), (_lone_moment, "only one")],
+)
+def test_optimizer_arrays_without_their_parameter_are_rejected(
+    tmp_path, monkeypatch, edit, message
+):
+    """A moment array that names no parameter, or an m without its v, is
+    a file `save_checkpoint` cannot write, so loading it raises."""
+    enc, state, _ = trained_encoder(seed=8)
+    gather = checkpoint._gather
+
+    def edited_gather(*args):
+        arrays, state_doc = gather(*args)
+        edit(arrays)
+        return arrays, state_doc
+
+    monkeypatch.setattr(checkpoint, "_gather", edited_gather)
+    path = tmp_path / "stray.ckpt"
+    save_checkpoint(path, enc, state, CONFIG)
+    with pytest.raises(IntegrityError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_optimizer_moment_of_the_wrong_shape_is_rejected(tmp_path, which):
+    enc, state, _ = trained_encoder(seed=9)
+    name = "pos_embed"
+    state.moments[name][which] = np.zeros(state.moments[name][which].shape[1:])
+    path = tmp_path / "shape.ckpt"
+    save_checkpoint(path, enc, state, CONFIG)
+    key = f"optim.{'mv'[which]}.{name}"
+    with pytest.raises(IntegrityError, match=rf"'{key}' shape \("):
+        load_checkpoint(path)
+
+
+def test_moments_of_a_dropped_head_are_not_saved(tmp_path):
+    enc, state, _ = trained_encoder(seed=10)
+    assert any(name.startswith("proj.") for name in state.moments)
+    enc.drop_projection_head()
+    path = tmp_path / "dropped.ckpt"
+    save_checkpoint(path, enc, state, CONFIG)
+    _, state2, _, _ = load_checkpoint(path)
+    assert set(state2.moments) == set(state.moments) & set(enc.parameters())
+    assert not any(name.startswith("proj.") for name in state2.moments)

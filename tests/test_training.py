@@ -33,6 +33,7 @@ from protonorm import (
     stratified_subset,
     train_val_split,
 )
+from protonorm.training import ADAMW_CHUNK
 
 
 # -- schedule -----------------------------------------------------------
@@ -158,6 +159,29 @@ def test_adamw_nan_gradient_leaves_everything_untouched():
         assert all(np.array_equal(a, b) for a, b in zip(state.moments[n], moments[n]))
 
 
+def _out_of_place_adamw(ref, moments, params, lr, t, cfg):
+    """The textbook AdamW step on copies: `ref` and `moments` (name ->
+    [m, v]) are advanced for every parameter of `params` with a grad."""
+    b1, b2 = cfg.betas
+    for n, p in params.items():
+        if p.grad is None:
+            continue
+        m, v = moments[n]
+        m = b1 * m + (1.0 - b1) * p.grad
+        v = b2 * v + (1.0 - b2) * (p.grad * p.grad)
+        moments[n] = [m, v]
+        if cfg.weight_decay:
+            ref[n] = ref[n] * (1.0 - lr * cfg.weight_decay)
+        ref[n] = ref[n] - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.eps)
+
+
+def _assert_adamw_matches(params, state, ref, moments):
+    for n, p in params.items():
+        assert np.array_equal(p.data, ref[n]), n
+        if n in moments:
+            assert all(np.array_equal(a, b) for a, b in zip(state.moments[n], moments[n])), n
+
+
 @pytest.mark.parametrize("wd", [0.0, 0.05])
 def test_adamw_in_place_update_equals_the_out_of_place_formula(wd):
     """Several steps over parameters of several shapes (one without a
@@ -166,32 +190,119 @@ def test_adamw_in_place_update_equals_the_out_of_place_formula(wd):
     shapes = {"w": (4, 6), "b": (6,), "gamma": (2, 3, 5), "frozen": (3,)}
     params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
     ref = {n: p.data.copy() for n, p in params.items()}
-    moments = {n: [0.0, 0.0] for n in shapes}
+    moments = {n: [0.0, 0.0] for n in shapes if n != "frozen"}
     cfg = OptimConfig(weight_decay=wd, warmup_steps=0, total_steps=1)
-    b1, b2 = cfg.betas
     state = TrainState(streams=RngStreams.from_seed(0))
     for t in range(1, 5):
         lr = 1e-2 / t
         for n, p in params.items():
             p.grad = None if n == "frozen" else rng.normal(size=p.shape)
         adamw_step(params, state, lr, cfg)
-        for n, p in params.items():
-            if p.grad is None:
-                continue
-            m, v = moments[n]
-            m = b1 * m + (1.0 - b1) * p.grad
-            v = b2 * v + (1.0 - b2) * (p.grad * p.grad)
-            moments[n] = [m, v]
-            if wd:
-                ref[n] = ref[n] * (1.0 - lr * wd)
-            ref[n] = ref[n] - lr * (m / (1.0 - b1**t)) / (
-                np.sqrt(v / (1.0 - b2**t)) + cfg.eps
-            )
+        _out_of_place_adamw(ref, moments, params, lr, t, cfg)
     assert state.step == 4 and "frozen" not in state.moments
+    _assert_adamw_matches(params, state, ref, moments)
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.05])
+def test_adamw_blocks_equal_the_out_of_place_formula(wd):
+    """Parameters of several blocks, whose size is not a multiple of the
+    block, step to the bits of the whole-array formula."""
+    rng = np.random.default_rng(6)
+    shapes = {"big": (300, 300), "ragged": (3, 7001), "one": (1, ADAMW_CHUNK), "small": (5,)}
+    assert (300 * 300) % ADAMW_CHUNK and (3 * 7001) % ADAMW_CHUNK and 3 * 7001 > ADAMW_CHUNK
+    params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+    ref = {n: p.data.copy() for n, p in params.items()}
+    moments = {n: [0.0, 0.0] for n in shapes}
+    cfg = OptimConfig(weight_decay=wd, warmup_steps=0, total_steps=1)
+    state = TrainState(streams=RngStreams.from_seed(0))
+    for t in range(1, 4):
+        lr = 1e-2 / t
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        adamw_step(params, state, lr, cfg)
+        _out_of_place_adamw(ref, moments, params, lr, t, cfg)
+    _assert_adamw_matches(params, state, ref, moments)
+
+
+def test_adamw_inf_in_the_last_block_leaves_everything_untouched():
+    """A non-finite entry in the last block of the second parameter
+    raises before the first parameter, any moment or the step count
+    changes."""
+    rng = np.random.default_rng(7)
+    params = {n: Tensor(rng.normal(size=(3, 7001)), requires_grad=True) for n in "ab"}
+    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
+    state = TrainState(streams=RngStreams.from_seed(0))
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    adamw_step(params, state, 1e-2, cfg)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    params["b"].grad[2, -1] = np.inf
+    assert ADAMW_CHUNK < params["b"].grad.size <= 2 * ADAMW_CHUNK  # the second, last block
+    data = {n: p.data.copy() for n, p in params.items()}
+    moments = {n: [m.copy(), v.copy()] for n, (m, v) in state.moments.items()}
+    with pytest.raises(TrainingDiverged, match="'b'"):
+        adamw_step(params, state, 1e-2, cfg)
+    assert state.step == 1
     for n, p in params.items():
-        assert np.array_equal(p.data, ref[n]), n
-        if n != "frozen":
-            assert all(np.array_equal(a, b) for a, b in zip(state.moments[n], moments[n]))
+        assert np.array_equal(p.data, data[n])
+        assert all(np.array_equal(a, b) for a, b in zip(state.moments[n], moments[n]))
+
+
+def test_adamw_steps_arrays_that_are_not_c_contiguous_in_place():
+    """A transposed parameter, or moment, larger than one block has flat
+    blocks that view a copy; the step still lands in the array itself."""
+    rng = np.random.default_rng(8)
+    params = {
+        "wide_t": Tensor(rng.normal(size=(300, 200)).T, requires_grad=True),
+        "small_t": Tensor(rng.normal(size=(6, 4)).T, requires_grad=True),
+    }
+    arrays = {n: p.data for n, p in params.items()}
+    assert not any(a.flags.c_contiguous for a in arrays.values())
+    ref = {n: p.data.copy() for n, p in params.items()}
+    moments = {n: [0.0, 0.0] for n in params}
+    cfg = OptimConfig(weight_decay=0.05, warmup_steps=0, total_steps=1)
+    state = TrainState(streams=RngStreams.from_seed(0))
+    for t in range(1, 4):
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        adamw_step(params, state, 1e-2, cfg)
+        _out_of_place_adamw(ref, moments, params, 1e-2, t, cfg)
+        if t == 1:
+            state.moments = {
+                n: [np.asfortranarray(a) for a in mv] for n, mv in state.moments.items()
+            }
+    _assert_adamw_matches(params, state, ref, moments)
+    assert all(params[n].data is a for n, a in arrays.items())
+    assert not state.moments["wide_t"][0].flags.c_contiguous
+
+
+@pytest.mark.parametrize("where", ["grad", "same-size grad", "m", "v"])
+def test_adamw_shape_mismatch_raises_before_anything_changes(where):
+    rng = np.random.default_rng(9)
+    params = {n: Tensor(rng.normal(size=(2, 3)), requires_grad=True) for n in ("a", "odd")}
+    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
+    state = TrainState(streams=RngStreams.from_seed(0))
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    adamw_step(params, state, 1e-2, cfg)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    odd = params["odd"]
+    if where == "grad":
+        odd.grad = rng.normal(size=(3,))
+    elif where == "same-size grad":
+        odd.grad = rng.normal(size=(3, 2))
+    else:
+        state.moments["odd"]["mv".index(where)] = np.zeros((3, 2))
+    data = {n: p.data.copy() for n, p in params.items()}
+    moments = {n: [m.copy(), v.copy()] for n, (m, v) in state.moments.items()}
+    with pytest.raises(ShapeError, match=r"'odd' has shape \(2, 3\)"):
+        adamw_step(params, state, 1e-2, cfg)
+    assert state.step == 1
+    for n, p in params.items():
+        assert np.array_equal(p.data, data[n])
+        assert all(np.array_equal(a, b) for a, b in zip(state.moments[n], moments[n]))
 
 
 # -- cross entropy and metrics ---------------------------------------------
