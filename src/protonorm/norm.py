@@ -232,7 +232,8 @@ class ProtoNormLayer:
             if not np.isfinite(features).all():
                 raise InputError("gate features contain non-finite values")
             diff = features[:, None, :] - self.bank.P.data[None, :, :]
-            idx = np.argmin((diff * diff).sum(axis=2), axis=1)
+            np.multiply(diff, diff, out=diff)  # square in place: one [B, n, d] buffer
+            idx = np.argmin(diff.sum(axis=2), axis=1)
         return idx, features
 
     def forward(self, x, train=False, dataset_ids=None):

@@ -6,10 +6,18 @@ node each), ``matmul`` over equal batch dims (no broadcasting),
 elementwise ``+ - * /`` (``scalar * tensor`` is the only reflected
 operator), ``exp``, ``log``, ``sqrt``, ``relu``, ``dropout``, ``sum``,
 ``mean``, ``reshape``, ``transpose``, ``swapaxes``, ``concat``,
-``softmax`` and ``logsumexp``. Each operation records a backward closure
-over its inputs; ``Tensor.backward`` walks the recorded graph once in
-reverse topological order and accumulates gradients into every reachable
-tensor with ``requires_grad``. Only leaves keep their ``.grad`` after it.
+``softmax`` and ``logsumexp``. Each operation records a node: the graph
+records of its inputs and a backward closure. ``Tensor.backward`` walks
+the recorded graph once in reverse topological order and accumulates
+gradients into every reachable tensor with ``requires_grad``. Only leaves
+keep their ``.grad`` after it.
+
+The tape keeps only what backward reads. A node refers to its inputs by
+their graph records, which hold no data: an op output's record is its
+node, and a tensor without one (a leaf) is its own record. Each closure
+captures exactly the arrays its gradient formula reads, and shapes
+where it needs no more, so an op output that no closure reads is freed as
+soon as the caller drops it; dropout keeps a bool keep-mask.
 
 Conventions:
   * all data is float64 so finite-difference checks are trustworthy
@@ -41,10 +49,6 @@ __all__ = [
 
 _grad_enabled = True
 
-# Sentinel marking a node whose backward closure has already run.
-_CONSUMED = object()
-
-
 class no_grad:
     """Context manager that disables graph recording (pure forward math)."""
 
@@ -61,11 +65,25 @@ class no_grad:
 
 
 class _Node:
-    __slots__ = ("parents", "backward")
+    """An op output's graph record: the records of its parents, the
+    backward closure and, while backward runs, the gradient flowing in. It
+    holds no data, so recording a graph keeps alive only what the closures
+    capture. Like a tensor it answers ``requires_grad``, ``grad`` and
+    ``_ctx`` (itself), so a walk over ``_ctx.parents`` reads leaves and
+    nodes alike. Backward clears ``parents`` and ``backward`` when it
+    reaches the node, so a node without a closure is consumed."""
+
+    __slots__ = ("parents", "backward", "grad")
+    requires_grad = True
 
     def __init__(self, parents, backward):
-        self.parents = parents
+        self.parents = tuple(p if p._ctx is None else p._ctx for p in parents)
         self.backward = backward
+        self.grad = None
+
+    @property
+    def _ctx(self):
+        return self
 
 
 class Tensor:
@@ -110,44 +128,44 @@ class Tensor:
             raise GraphError(
                 f"backward() needs a scalar loss, got shape {tuple(self.shape)}"
             )
-        if self._ctx is _CONSUMED:
+        if self._ctx is not None and self._ctx.backward is None:
             raise GraphError(
                 "graph already consumed by a previous backward(); "
                 "rebuild the forward pass"
             )
+        root = self if self._ctx is None else self._ctx
         topo = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
-            t, expanded = stack.pop()
+            r, expanded = stack.pop()
             if expanded:
-                topo.append(t)
+                topo.append(r)
                 continue
-            if id(t) in seen:
+            if id(r) in seen:
                 continue
-            seen.add(id(t))
-            ctx = t._ctx
-            if ctx is _CONSUMED:
+            seen.add(id(r))
+            if r._ctx is None:
+                continue
+            if r.backward is None:
                 raise GraphError(
                     "stale graph: a node was already consumed by an "
                     "earlier backward()"
                 )
-            if ctx is None:
-                continue
-            stack.append((t, True))
-            for p in ctx.parents:
+            stack.append((r, True))
+            for p in r.parents:
                 stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
-            t = topo.pop()
-            ctx, t._ctx = t._ctx, _CONSUMED
-            if t.grad is None:
+            node = topo.pop()
+            parents, backward, g = node.parents, node.backward, node.grad
+            node.parents = node.backward = node.grad = None
+            if g is None:
                 continue
-            grads, t.grad = ctx.backward(t.grad), None
-            for p, g in zip(ctx.parents, grads):
-                if g is None or not p.requires_grad:
+            for p, pg in zip(parents, backward(g)):
+                if pg is None or not p.requires_grad:
                     continue
-                p.grad = g if p.grad is None else p.grad + g
+                p.grad = pg if p.grad is None else p.grad + pg
 
     # -- operators -------------------------------------------------------
 
@@ -221,48 +239,43 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
-    data = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-    return _make(data, (a, b), bwd)
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
     a, b = _wrap(a), _wrap(b)
-    data = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
-    return _make(data, (a, b), bwd)
+    return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
-    data = a.data * b.data
+    ad, bd = a.data, b.data
 
     def bwd(g):
-        return (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
-        )
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _make(data, (a, b), bwd)
+    return _make(ad * bd, (a, b), bwd)
 
 
 def div(a, b):
     """Elementwise quotient. Denominator guarding is the call site's job
     (e.g. layer norm adds its epsilon before dividing)."""
     a, b = _wrap(a), _wrap(b)
-    data = a.data / b.data
+    sa, bd = a.shape, b.data
+    data = a.data / bd
 
     def bwd(g):
-        return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * data / b.data, b.shape),
-        )
+        return _unbroadcast(g / bd, sa), _unbroadcast(-g * data / bd, bd.shape)
 
     return _make(data, (a, b), bwd)
 
@@ -275,7 +288,8 @@ def exp(a):
 
 def log(a):
     a = _wrap(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    ad = a.data
+    return _make(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def sqrt(a):
@@ -306,12 +320,12 @@ def dropout(x, p, rng=None, train=False):
         return x
     if rng is None:
         raise InputError("dropout in train mode needs an explicit rng")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    keep = rng.random(x.shape) >= p
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (keep / (1.0 - p)),)
 
-    return _make(x.data * mask, (x,), bwd)
+    return _make(x.data * (keep / (1.0 - p)), (x,), bwd)
 
 
 # -- linear algebra ------------------------------------------------------
@@ -327,10 +341,12 @@ def matmul(a, b):
             f"dims, got {a.shape} @ {b.shape}"
         )
 
-    def bwd(g):
-        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
+    ad, bd = a.data, b.data
 
-    return _make(a.data @ b.data, (a, b), bwd)
+    def bwd(g):
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+
+    return _make(ad @ bd, (a, b), bwd)
 
 
 def linear(x, w, b):
@@ -347,14 +363,14 @@ def linear(x, w, b):
         )
     k, n = w.shape
     lead = x.shape[:-1]
-    x2 = x.data.reshape(-1, k)
+    x2, wd, x_grad = x.data.reshape(-1, k), w.data, x.requires_grad
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        dx = (g2 @ w.data.T).reshape(*lead, k) if x.requires_grad else None
+        dx = (g2 @ wd.T).reshape(*lead, k) if x_grad else None
         return dx, x2.T @ g2, g2.sum(axis=0)
 
-    return _make((x2 @ w.data + b.data).reshape(*lead, n), (x, w, b), bwd)
+    return _make((x2 @ wd + b.data).reshape(*lead, n), (x, w, b), bwd)
 
 
 # -- reductions -----------------------------------------------------------
@@ -378,24 +394,24 @@ def _spread(g, shape, axes, keepdims):
 def _reduce_sum(x, axis, keepdims):
     x = _wrap(x)
     axes = _norm_axes(axis, x.ndim)
-    data = x.data.sum(axis=axes, keepdims=keepdims)
+    shape = x.shape
 
     def bwd(g):
-        return (_spread(g, x.shape, axes, keepdims),)
+        return (_spread(g, shape, axes, keepdims),)
 
-    return _make(data, (x,), bwd)
+    return _make(x.data.sum(axis=axes, keepdims=keepdims), (x,), bwd)
 
 
 def _reduce_mean(x, axis, keepdims):
     x = _wrap(x)
     axes = _norm_axes(axis, x.ndim)
-    count = int(np.prod([x.shape[a] for a in axes])) if x.ndim else 1
-    data = x.data.mean(axis=axes, keepdims=keepdims)
+    shape = x.shape
+    count = int(np.prod([shape[a] for a in axes])) if x.ndim else 1
 
     def bwd(g):
-        return (_spread(g, x.shape, axes, keepdims) / count,)
+        return (_spread(g, shape, axes, keepdims) / count,)
 
-    return _make(data, (x,), bwd)
+    return _make(x.data.mean(axis=axes, keepdims=keepdims), (x,), bwd)
 
 
 # -- shape surgery ---------------------------------------------------------
@@ -451,12 +467,13 @@ def layer_norm(x, idx, gamma, beta, eps):
     sigma = np.sqrt((centered * centered).mean(-1, keepdims=True) + eps)
     xhat = centered / sigma
     scale = gamma.data[idx][:, None, :]
+    gshape, bshape = gamma.shape, beta.shape
 
     def bwd(g):
         gh = g * scale
         gx = gh - gh.mean(-1, keepdims=True) - xhat * (gh * xhat).mean(-1, keepdims=True)
-        dgamma = np.zeros_like(gamma.data)
-        dbeta = np.zeros_like(beta.data)
+        dgamma = np.zeros(gshape)
+        dbeta = np.zeros(bshape)
         np.add.at(dgamma, idx, (g * xhat).sum(axis=1))
         np.add.at(dbeta, idx, g.sum(axis=1))
         return gx / sigma, dgamma, dbeta

@@ -1,6 +1,9 @@
 """Autodiff engine: values, gradients against finite differences, and
 graph discipline."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -196,6 +199,52 @@ def test_backward_rejects_stale_graph():
     stale = y.sum()  # reuses the consumed node y
     with pytest.raises(GraphError, match="stale"):
         stale.backward()
+
+
+def _buffer_ref(a):
+    """Weak reference to the array that owns ``a``'s memory."""
+    while a.base is not None:
+        a = a.base
+    return weakref.ref(a)
+
+
+def test_tape_frees_what_no_closure_reads():
+    """Holding only the loss of linear -> relu -> linear -> linear ->
+    dropout -> residual add -> layer_norm frees the fc1 output, the dropout
+    input and the residual sum, which no backward closure reads, and keeps
+    the relu output, which the next layer's weight gradient reads. The
+    gradients still match finite differences."""
+    rng = np.random.default_rng(12)
+    shapes = {
+        "x": (2, 3, 4), "w1": (4, 6), "b1": (6,), "w2": (6, 4), "b2": (4,),
+        "w3": (4, 4), "b3": (4,), "gamma": (2, 4), "beta": (2, 4),
+    }
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    weights = Tensor(rng.normal(size=(2, 3, 4)))
+
+    def build(arrays, refs=None):
+        t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+        fc1 = linear(t["x"], t["w1"], t["b1"])
+        act = relu(fc1)
+        pre = linear(linear(act, t["w2"], t["b2"]), t["w3"], t["b3"])
+        res = dropout(pre, 0.25, np.random.default_rng(3), train=True) + t["x"]
+        out = layer_norm(res, np.array([1, 0]), t["gamma"], t["beta"], 1e-8)
+        if refs is not None:
+            for k, v in (("fc1", fc1), ("act", act), ("pre", pre), ("res", res)):
+                refs[k] = _buffer_ref(v.data)
+        return t, (out * weights).sum()
+
+    refs = {}
+    leaves, loss = build(init, refs)
+    gc.collect()
+    assert refs["fc1"]() is None and refs["pre"]() is None and refs["res"]() is None
+    assert refs["act"]() is not None
+    loss.backward()
+    for k in shapes:
+        def f(a, k=k):
+            return build({**init, k: a})[1].item()
+
+        assert rel_error(leaves[k].grad, numerical_gradient(f, init[k].copy())) < 1e-6, k
 
 
 def test_gradient_accumulates_over_shared_use():
