@@ -250,6 +250,14 @@ def adamw_step(params, state, lr, cfg):
                 dst[...] = src
 
 
+def _release_optimizer_state(state, params):
+    """Drop the moments and the last gradients of a phase that has taken
+    its last step: nothing reads them again."""
+    state.moments = {}
+    for p in params.values():
+        p.grad = None
+
+
 # -- metrics ---------------------------------------------------------------
 
 
@@ -354,6 +362,11 @@ def evaluate(encoder, ds, batch_size=64):
 
 @dataclass
 class PretrainResult:
+    """What ``pretrain`` returns. A completed run's ``state`` carries no
+    optimizer moments (its ``final.ckpt``, when written, does), so it
+    cannot be continued in memory; an interrupted run's state keeps them
+    for a bitwise resume."""
+
     encoder: object
     state: TrainState
     rows: list  # (step, lr, loss_nt, loss_orth, loss_total)
@@ -434,6 +447,12 @@ def pretrain(
     epoch is the one with the lowest validation NT-Xent: the orthogonality
     penalty does not take part in choosing ``best.ckpt``.
     ``stop_after_steps`` interrupts mid-run for checkpoint-resume tests.
+
+    A completed run hands its optimizer state to ``final.ckpt`` and keeps
+    none in memory: the returned state has no moments and no parameter
+    has a ``.grad``. An interrupted run keeps both, so it resumes bitwise.
+    A state that has taken steps but holds no moments, such as a
+    completed run's, raises ``ContractError`` before any step.
     """
     from .checkpoint import save_checkpoint
 
@@ -441,6 +460,12 @@ def pretrain(
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if state is None:
         state = TrainState(streams=RngStreams.from_seed(seed))
+    if state.step > 0 and not state.moments:
+        raise ContractError(
+            f"the state has taken {state.step} steps but holds no optimizer "
+            "moments, as a completed pretrain returns it; continue from that "
+            "run's final.ckpt instead"
+        )
     streams = state.streams
     union = flatten_pool(pool)
     n = len(union)
@@ -518,6 +543,7 @@ def pretrain(
         checkpoint_to("last")
 
     final = checkpoint_to("final")
+    _release_optimizer_state(state, all_params)
     return PretrainResult(
         encoder,
         state,
@@ -597,9 +623,10 @@ def finetune(
     The projection head is dropped, a fresh linear classifier attached,
     and every prototype bank frozen (gating stays active; EMA and
     gradient updates stop). Trains on a stratified labeled subset with
-    cross-entropy, keeps the best validation-accuracy parameters, and
-    reports held-out test metrics. Prototype bit-stability is asserted
-    every epoch.
+    cross-entropy, keeps the best validation-accuracy parameters (copied
+    into one set of buffers), and reports held-out test metrics. Prototype
+    bit-stability is asserted every epoch. It returns with no parameter
+    holding a ``.grad``.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -664,12 +691,14 @@ def finetune(
             if acc > best_acc:
                 best_acc = acc
                 best_epoch = epoch
-                best_params = {
-                    k: t.data.copy() for k, t in encoder.parameters().items()
-                }
+                if best_params is None:
+                    best_params = {k: np.empty_like(t.data) for k, t in all_params.items()}
+                for k, t in all_params.items():
+                    np.copyto(best_params[k], t.data)
 
+    _release_optimizer_state(state, all_params)
     if best_params is not None:
-        for k, t in encoder.parameters().items():
+        for k, t in all_params.items():
             t.data = best_params[k]
     metrics = evaluate(encoder, test_ds, batch_size)
     return FinetuneResult(encoder, metrics, rows, val_history, best_epoch)

@@ -643,7 +643,7 @@ def test_acceptance_determinism_and_resume(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_acceptance_ablation_degeneracies():
+def test_acceptance_ablation_degeneracies(tmp_path):
     pool = make_synthetic_clusters(2, 16, 64, np.random.default_rng(70))
     cfg_kw = dict(
         input_len=64, patch_size=16, d_model=32, n_heads=4,
@@ -651,7 +651,7 @@ def test_acceptance_ablation_degeneracies():
     )
     opt = OptimConfig(warmup_steps=3)
 
-    def run(norm_mode, n_protos, lam, freeze):
+    def run(norm_mode, n_protos, lam, freeze, out_dir=None):
         cfg = EncoderConfig(norm_mode=norm_mode, n_prototypes=n_protos, **cfg_kw)
         streams = RngStreams.from_seed(71)
         enc = Encoder(cfg, streams.params, streams.protos)
@@ -660,7 +660,7 @@ def test_acceptance_ablation_degeneracies():
         result = pretrain(
             pool, enc, AugmentConfig(), NtXentConfig(lambda_orth=lam), opt,
             epochs=2, batch_size=8, seed=71,
-            state=TrainState(streams=streams),
+            state=TrainState(streams=streams), out_dir=out_dir,
         )
         return enc, result
 
@@ -678,10 +678,12 @@ def test_acceptance_ablation_degeneracies():
     # (b) lambda=0 is the no-orthogonality ablation: the penalty column is
     # zero, the total equals the contrastive term, and prototypes receive
     # no optimizer updates
-    enc_z, res_z = run("proto-gated", 2, 0.0, freeze=False)
+    enc_z, res_z = run("proto-gated", 2, 0.0, freeze=False, out_dir=tmp_path)
     for step, lr, nt, orth, tot in res_z.rows:
         assert orth == 0.0 and tot == nt
-    assert not any("prototypes" in k for k in res_z.state.moments)
+    _, state_z, _, _ = load_checkpoint(res_z.final_checkpoint)
+    assert state_z.moments
+    assert not any("prototypes" in k for k in state_z.moments)
 
     # (c) dataset-indexed mode routes strictly by dataset id
     cfg = EncoderConfig(norm_mode="dataset-indexed", n_prototypes=2, **cfg_kw)

@@ -44,7 +44,12 @@ CONFIG = {
 }
 
 
-def trained_encoder(seed=0, steps=None):
+EPOCHS = 3  # of 3 steps each
+
+
+def trained_encoder(seed=0, steps=4):
+    """An encoder and the state of a run interrupted after ``steps`` of
+    its 9 steps: a completed run keeps no moments in memory."""
     cfg = EncoderConfig(**CONFIG["encoder"])
     streams = RngStreams.from_seed(seed)
     enc = Encoder(cfg, streams.params, streams.protos)
@@ -55,12 +60,13 @@ def trained_encoder(seed=0, steps=None):
         AugmentConfig(),
         NtXentConfig(),
         OptimConfig(warmup_steps=2),
-        epochs=1,
+        epochs=EPOCHS,
         batch_size=8,
         seed=seed,
         state=TrainState(streams=streams),
         stop_after_steps=steps,
     )
+    assert result.interrupted and result.state.moments
     return enc, result.state, pool
 
 
@@ -130,7 +136,7 @@ def test_resume_one_step_matches_uninterrupted(tmp_path):
         AugmentConfig(),
         NtXentConfig(),
         OptimConfig(warmup_steps=2),
-        epochs=1,
+        epochs=EPOCHS,
         batch_size=8,
         seed=2,
         state=state2,

@@ -1,6 +1,7 @@
 """Optimizer, schedule, loops: hand-checked updates, determinism, and
 mechanism-isolation equivalences."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ from helpers import numerical_gradient, rel_error
 from protonorm import (
     AugmentConfig,
     ConfigError,
+    ContractError,
     Encoder,
     EncoderConfig,
     InputError,
@@ -638,6 +640,82 @@ def test_pretrain_frozen_banks_take_no_gradient():
     assert not any(k.endswith(".prototypes") for k in result.state.moments)
 
 
+def test_completed_pretrain_hands_its_optimizer_state_to_final_ckpt(tmp_path):
+    """A completed run keeps no moments and no gradients in memory, and
+    its final.ckpt holds an m and a v for every parameter it stepped:
+    with frozen banks, every parameter but the prototypes."""
+    cfg, enc, streams = desk_encoder(seed=15)
+    enc.set_banks_frozen(True)
+    before = {k: t.data.copy() for k, t in enc.parameters().items()}
+    result = run_pretrain(enc, streams, tiny_pool(), seed=15, out_dir=str(tmp_path))
+    params = enc.parameters()
+    assert not result.interrupted and result.state.step == 12
+    assert result.state.moments == {}
+    assert all(p.grad is None for p in params.values())
+    stepped = {k for k, p in params.items() if not np.array_equal(p.data, before[k])}
+    assert stepped == {k for k in params if not k.endswith(".prototypes")}
+    _, state, _, _ = load_checkpoint(result.final_checkpoint)
+    assert state.step == 12 and set(state.moments) == stepped
+    for k in stepped:
+        m, v = state.moments[k]
+        assert m.shape == v.shape == params[k].shape, k
+        assert v.any(), k
+
+
+def test_interrupted_pretrain_keeps_moments_and_gradients():
+    _, enc, streams = desk_encoder(seed=16)
+    result = run_pretrain(enc, streams, tiny_pool(), seed=16, stop_after_steps=3)
+    params = enc.parameters()
+    assert result.interrupted and set(result.state.moments) == set(params)
+    assert all(p.grad is not None for p in params.values())
+
+
+def test_completed_pretrain_leaves_less_than_a_parameter_set_allocated():
+    """Moments (two parameter sets) and the last gradients (one) held
+    after the run returns were 3.6 parameter sets here; now 0.2."""
+    _, enc, streams = desk_encoder(seed=17)
+    pool = tiny_pool(seed=17)
+    param_bytes = sum(p.data.nbytes for p in enc.parameters().values())
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_pretrain(enc, streams, pool, seed=17)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert not result.interrupted and len(result.rows) == 12
+    assert held < param_bytes, f"{held} B held against {param_bytes} B of parameters"
+
+
+def test_pretrain_refuses_to_continue_a_state_without_moments(tmp_path):
+    """A completed run's state would restart Adam from zero moments with a
+    late-step bias correction; it is refused before any step, and its
+    final.ckpt continues."""
+    _, enc, streams = desk_encoder(seed=18)
+    first = run_pretrain(enc, streams, tiny_pool(), seed=18, epochs=1, out_dir=str(tmp_path))
+    before = {k: t.data.copy() for k, t in enc.parameters().items()}
+    resume = tmp_path / "resume"
+    resume.mkdir()
+    with pytest.raises(ContractError, match="6 steps .* final.ckpt"):
+        pretrain(
+            tiny_pool(), enc, AugmentConfig(), NtXentConfig(lambda_orth=0.001),
+            OptimConfig(warmup_steps=5),
+            epochs=2, batch_size=8, seed=18, state=first.state, out_dir=str(resume),
+        )
+    assert first.state.step == 6 and list(resume.iterdir()) == []
+    assert all(np.array_equal(t.data, before[k]) for k, t in enc.parameters().items())
+    enc, state, _, _ = load_checkpoint(first.final_checkpoint)
+    rest = pretrain(
+        tiny_pool(), enc, AugmentConfig(), NtXentConfig(lambda_orth=0.001),
+        OptimConfig(warmup_steps=5), epochs=2, batch_size=8, seed=18, state=state,
+    )
+    assert [r[0] for r in rest.rows] == list(range(7, 13))
+
+
 def test_validation_loss_leaves_out_the_orthogonality_penalty():
     """``best.ckpt`` is ranked by validation NT-Xent alone: on one encoder
     whose penalty is far from zero, the validation loss at lambda=0.01
@@ -747,6 +825,52 @@ def test_finetune_freezes_prototypes_and_learns_separable_task():
         assert bank.frozen
     assert result.encoder.proj is None
     assert result.metrics.accuracy == 1.0
+
+
+def test_finetune_returns_without_gradients():
+    cfg, enc, streams = desk_encoder(seed=38)
+    result = finetune(
+        separable_task(seed=39), enc, OptimConfig(warmup_steps=2),
+        epochs=2, batch_size=16, n_labeled="all", seed=38,
+    )
+    assert len(result.rows) == 6
+    assert all(p.grad is None for p in result.encoder.parameters().values())
+
+
+def test_finetune_restores_a_best_epoch_that_is_not_the_first(monkeypatch):
+    """Validation accuracy is scripted so that epochs 0-2 improve and epoch
+    3 does not: the restored parameters, and those the test pass sees, are
+    the ones epoch 2 validated."""
+    from protonorm import training
+
+    cfg, enc, streams = desk_encoder(seed=36)
+    splits = separable_task(seed=37)
+    accuracies = [0.2, 0.5, 0.9, 0.4]
+    scripted = iter(accuracies)
+    snapshots = []
+    real_evaluate = training.evaluate
+
+    def scripted_evaluate(encoder, ds, batch_size=64):
+        metrics = real_evaluate(encoder, ds, batch_size)
+        snapshots.append({k: t.data.copy() for k, t in encoder.parameters().items()})
+        if ds is splits[1]:
+            return dataclasses.replace(metrics, accuracy=next(scripted))
+        return metrics
+
+    monkeypatch.setattr(training, "evaluate", scripted_evaluate)
+    result = finetune(
+        splits, enc, OptimConfig(warmup_steps=2),
+        epochs=4, batch_size=16, n_labeled="all", seed=36,
+    )
+    assert result.best_epoch == 2
+    assert [acc for _, acc in result.val_history] == accuracies
+    assert len(snapshots) == 5  # four validation passes, then the test pass
+    params = result.encoder.parameters()
+    for k, t in params.items():
+        assert np.array_equal(t.data, snapshots[2][k]), k
+        assert np.array_equal(snapshots[4][k], snapshots[2][k]), k
+    assert any(not np.array_equal(snapshots[3][k], snapshots[2][k]) for k in params)
+    assert all(t.grad is None for t in params.values())
 
 
 def test_evaluate_batch_size_invariance():

@@ -1,0 +1,241 @@
+"""Interleaved parent/change runs of the benchmark, summarized as BENCH_<tag>.json.
+
+    python3 tools/ab.py --parent HEAD --workload paper-pretrain --seeds 1-10 \
+        --seconds 30 --out BENCH_<tag>.json --change "what the change does"
+
+``--workload`` may be given more than once; each workload runs every seed.
+
+Runs ``benchmarks/run.py`` unchanged, once per seed on each side: on a
+``git archive`` of the parent revision and on a copy of the working tree
+(the files git tracks or would add; ignored files stay out). Both sides
+run from fresh directories under ``--workdir``, which are removed at the
+end. The side that runs first alternates from pair to pair, so drift of
+the machine falls on both sides alike.
+
+The output holds, per workload, every run's value of every end-to-end
+metric, the median and quartiles of each side, the ratio of the medians,
+how many pairs the change won on the ``--claim`` metric (in the direction
+``BENCHMARK.json`` gives), and the operations attempted and failed. It
+names the parent commit and the git tree of ``src/`` on both sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+METHOD = (
+    "interleaved parent/change runs on one machine, alternating which side ran "
+    "first; each run's value is the median over its measured rounds "
+    "(host-normalized, see benchmarks/README.md), and peak_rss_mb is the "
+    "process's ru_maxrss; median and quartiles (statistics.quantiles, n=4) are "
+    "over runs; <claim>_pairs_won counts the seed pairs in which the change's "
+    "value of the claimed metric was better"
+)
+CHANGE_SHA = "the parent plus this change, measured from the working tree; identified by src_tree"
+
+
+def git(*args, env=None, text=True):
+    proc = subprocess.run(
+        ["git", *args], cwd=ROOT, env=env, check=True, capture_output=True, text=text
+    )
+    return proc.stdout.strip() if text else proc.stdout
+
+
+def parse_seeds(text):
+    """``1-10``, ``1,4,7`` or a mix of both."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+    return seeds
+
+
+def quartiles(values):
+    if not values:  # every run of this side failed before measuring
+        return {"median": None, "q1": None, "q3": None, "n": 0}
+    med = statistics.median(values)
+    if len(values) < 2:
+        return {"median": med, "q1": med, "q3": med, "n": len(values)}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def working_tree_files():
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    return [p for p in listed.split("\0") if p and os.path.isfile(os.path.join(ROOT, p))]
+
+
+def working_tree_src_tree():
+    """The git tree of ``src/`` as the working tree holds it, staged into a
+    throwaway index so the real one is left alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+        git("add", "-A", "--", "src", env=env)
+        return git("write-tree", "--prefix=src/", env=env)
+
+
+def export_parent(sha, dest):
+    os.makedirs(dest)
+    subprocess.run(["tar", "-x", "-C", dest], input=git("archive", sha, text=False), check=True)
+
+
+def export_working_tree(dest):
+    for rel in working_tree_files():
+        target = os.path.join(dest, rel)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(os.path.join(ROOT, rel), target)
+
+
+def run_benchmark(checkout, side, workload, seed, seconds):
+    """The result line and the results file of one ``benchmarks/run.py``."""
+    cmd = [
+        sys.executable, "benchmarks/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
+    ]
+    proc = subprocess.run(
+        cmd, cwd=checkout, capture_output=True, text=True, timeout=10 * seconds + 600
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(
+            f"ab: {side} seed {seed} printed no result (exit {proc.returncode}):\n"
+            f"{proc.stderr[-4000:]}"
+        )
+    doc = None
+    for line in proc.stderr.splitlines():
+        if line.startswith("results: "):
+            with open(os.path.join(checkout, line[len("results: "):]), encoding="utf-8") as fh:
+                doc = json.load(fh)
+    return json.loads(lines[-1]), doc
+
+
+def summarize(pairs, claim, better):
+    """One workload's entry, from ``pairs``: (seed, first side, {side: result})."""
+    names = sorted({m for _, _, res in pairs for side in SIDES for m in res[side]["metrics"]})
+    metrics = {}
+    for name in names:
+        entry = {}
+        for side in SIDES:
+            runs = [res[side]["metrics"][name]["value"]
+                    for _, _, res in pairs if name in res[side]["metrics"]]
+            entry[side] = dict(quartiles(runs), runs=runs)
+        p, c = entry["parent"]["median"], entry["change"]["median"]
+        entry["change_over_parent"] = c / p if p and c is not None else None
+        metrics[name] = entry
+    both = [(res["parent"]["metrics"][claim]["value"], res["change"]["metrics"][claim]["value"])
+            for _, _, res in pairs
+            if claim in res["parent"]["metrics"] and claim in res["change"]["metrics"]]
+    won = sum(c < p if better == "lower" else c > p for p, c in both)
+    seeds = [seed for seed, _, _ in pairs]
+    return {
+        "all_correct": all(res[side]["correct"] for _, _, res in pairs for side in SIDES),
+        "attempted_ops": {s: sum(res[s]["attempted"] for _, _, res in pairs) for s in SIDES},
+        "failed_ops": {s: sum(res[s]["failed"] for _, _, res in pairs) for s in SIDES},
+        "first": [first for _, first, _ in pairs],
+        "metrics": metrics,
+        f"{claim}_pairs_won": {"change": won, "pairs": len(both)},
+        "seeds": {s: seeds for s in SIDES},
+    }
+
+
+def host_info(doc):
+    """The host fields of one run's results file."""
+    host = {k: doc[k] for k in ("blas", "blas_threads", "cpu_count", "host_reference_s",
+                                "numpy", "python")}
+    host["machine"] = (
+        f"{doc['cpu_count']}-core {platform.machine()} host, benchmark process pinned to one CPU"
+    )
+    return host
+
+
+def claim_direction(claim):
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    if claim not in declared:
+        raise SystemExit(f"ab: {claim!r} is not an end-to-end metric of BENCHMARK.json")
+    return declared[claim]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10 or 1,3,5")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--out", required=True, help="the BENCH_<tag>.json to write")
+    parser.add_argument("--claim", default="peak_rss_mb",
+                        help="the metric whose pairs won are counted (default peak_rss_mb)")
+    parser.add_argument("--change", default="", help="one line on what the change does")
+    parser.add_argument("--workdir", help="where the two checkouts go (default: the temp dir)")
+    args = parser.parse_args(argv)
+
+    better = claim_direction(args.claim)
+    sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    doc = {
+        "benchmark": f"python3 benchmarks/run.py --workload <name> --seed <seed> "
+                     f"--seconds {args.seconds:g} --trace 0",
+        "change": args.change,
+        "git_sha": {"parent": sha, "change": CHANGE_SHA},
+        "host": None,
+        "method": METHOD,
+        "src_tree": {"parent": git("rev-parse", f"{sha}:src"),
+                     "change": working_tree_src_tree()},
+        "workloads": {},
+    }
+    work = tempfile.mkdtemp(prefix="ab-", dir=args.workdir)
+    try:
+        checkouts = {"parent": os.path.join(work, "parent"), "change": os.path.join(work, "change")}
+        export_parent(sha, checkouts["parent"])
+        export_working_tree(checkouts["change"])
+        for workload in args.workload:
+            pairs = []
+            for i, seed in enumerate(args.seeds):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                results = {}
+                for side in order:
+                    results[side], run_doc = run_benchmark(
+                        checkouts[side], side, workload, seed, args.seconds
+                    )
+                    if doc["host"] is None and run_doc is not None:
+                        doc["host"] = host_info(run_doc)
+                    value = results[side]["metrics"].get(args.claim, {}).get("value")
+                    print(f"{workload} seed {seed} {side}: {args.claim}={value} "
+                          f"correct={results[side]['correct']}", file=sys.stderr, flush=True)
+                pairs.append((seed, order[0], results))
+            doc["workloads"][workload] = summarize(pairs, args.claim, better)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+    tmp = f"{args.out}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, args.out)
+
+    for workload, entry in doc["workloads"].items():
+        won = entry[f"{args.claim}_pairs_won"]
+        print(f"{workload}: all correct {entry['all_correct']}; {args.claim} better "
+              f"in {won['change']} of {won['pairs']} pairs")
+        for name, m in entry["metrics"].items():
+            ratio = m["change_over_parent"]
+            p, c = (f"{v:.6g}" if v is not None else "none"
+                    for v in (m["parent"]["median"], m["change"]["median"]))
+            print(f"  {name}: parent {p} -> change {c}"
+                  + (f" (x{ratio:.4f})" if ratio is not None else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
