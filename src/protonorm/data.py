@@ -1,9 +1,14 @@
 """Dataset ingestion, standardization, synthetic generation, and batching.
 
 The on-disk format is one sample per line: an integer class label followed
-by the flattened series values, separated by tabs or commas (auto-detected,
-whitespace tolerated). Loading remaps labels to a dense 0-based range and
-z-scores each series.
+by the flattened series values, separated by tabs or commas (auto-detected
+per line, whitespace tolerated). The loader reads the file line by line and
+turns each line's fields into a float64 row with one ``np.array`` call, which
+converts every string with Python's ``float()``; blank fields are dropped
+only on a line where that call fails. Each row's label and values are
+checked as it is parsed, so the first bad line is the one named; the
+dense 0-based relabelling and the per-series z-score then run as array
+operations over the whole ``[N, 1+L]`` table.
 In memory a dataset's series are one float64 ``[N, C, L]`` array, a pool
 is one ``Batch`` of its samples, and a batch is that ``Batch`` indexed.
 """
@@ -47,15 +52,19 @@ class Dataset:
     split: str = "train"
 
     def __post_init__(self):
-        shapes = {np.shape(s) for s in self.series}
-        if len(shapes) > 1:
-            raise ShapeError(f"{self.name}: series differ in shape: {sorted(shapes)}")
+        if not isinstance(self.series, np.ndarray):
+            shapes = {np.shape(s) for s in self.series}
+            if len(shapes) > 1:
+                raise ShapeError(f"{self.name}: series differ in shape: {sorted(shapes)}")
         self.series = np.asarray(self.series, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.series) != len(self.labels):
             raise InputError(
                 f"{self.name}: {len(self.series)} series but {len(self.labels)} labels"
             )
+        if len(self.labels) and self.labels.min() < 0:
+            i = int(np.argmax(self.labels < 0))
+            raise InputError(f"{self.name}: negative class label {self.labels[i]} at sample {i}")
 
     def __len__(self):
         return len(self.series)
@@ -93,10 +102,33 @@ class Batch:
         )
 
 
-def _zscore(series):
-    m = series.mean()
-    s = series.std()
-    return (series - m) / (s + _ZSCORE_EPS)
+def _parse_line(path, lineno, ln, width):
+    """The label and values of one non-blank line as a float64 row."""
+    if not ln.isascii():  # the file is read with undecodable bytes escaped
+        try:
+            ln.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: line {lineno}: not UTF-8 text ({e})") from None
+    ln = ln.rstrip("\n")
+    fields = ln.split("\t" if "\t" in ln else "," if "," in ln else None)
+    try:
+        row = np.array(fields, dtype=np.float64)
+    except ValueError:  # a blank field, or a non-numeric one
+        try:
+            row = np.array([f for f in fields if f.strip()], dtype=np.float64)
+        except ValueError as e:
+            raise ParseError(f"{path}: line {lineno}: non-numeric field ({e})") from e
+    if row.size < 2:
+        raise ParseError(f"{path}: line {lineno}: need a label plus at least one value")
+    if width is not None and row.size != width:
+        raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {row.size}")
+    if not row[0].is_integer():  # False for nan and inf too
+        raise ParseError(f"{path}: line {lineno}: non-integer label {float(row[0])}")
+    finite = np.isfinite(row)
+    if not finite.all():  # the label is finite, so a value is not
+        k = int(np.argmin(finite))
+        raise ParseError(f"{path}: line {lineno}: non-finite value {row[k]} in field {k + 1}")
+    return row
 
 
 def load_ucr_tsv(path, name=None, dataset_id=0, split="train"):
@@ -105,61 +137,31 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train"):
     Labels are remapped to a dense 0-based index (sorted original order)
     and every series is z-scored; an all-constant series comes out as all
     zeros thanks to the epsilon guard. Blank lines are skipped; errors name
-    the file and the physical line. A non-finite label or value (``nan``,
-    ``inf``) is rejected, since z-scoring would spread it over the series.
+    the file and the physical line, and the first bad line is the one
+    named. A non-finite label or value (``nan``, ``inf``) is rejected,
+    since z-scoring would spread it over the series. A file that cannot be
+    read is an ``InputError``, and bytes that are not UTF-8 a ``ParseError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            (lineno, ln.rstrip("\n"))
-            for lineno, ln in enumerate(fh, start=1)
-            if ln.strip()
-        ]
-    if not lines:
+    rows = []
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, ln in enumerate(fh, start=1):
+                if ln.strip():
+                    rows.append(_parse_line(path, lineno, ln, rows[0].size if rows else None))
+    except OSError as e:
+        raise InputError(f"{path}: cannot read the file ({e.strerror or e})") from e
+    if not rows:
         raise InputError(f"{path}: empty dataset file")
 
-    raw_labels = []
-    rows = []
-    width = None
-    for lineno, ln in lines:
-        if "\t" in ln:
-            fields = ln.split("\t")
-        elif "," in ln:
-            fields = ln.split(",")
-        else:
-            fields = ln.split()
-        fields = [f for f in fields if f.strip()]
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as e:
-            raise ParseError(f"{path}: line {lineno}: non-numeric field ({e})") from e
-        if len(values) < 2:
-            raise ParseError(f"{path}: line {lineno}: need a label plus at least one value")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
-            )
-        label = values[0]
-        if not np.isfinite(label) or label != int(label):
-            raise ParseError(f"{path}: line {lineno}: non-integer label {label}")
-        row = np.asarray(values[1:], dtype=np.float64)
-        finite = np.isfinite(row)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise ParseError(
-                f"{path}: line {lineno}: non-finite value {row[k]} in field {k + 2}"
-            )
-        raw_labels.append(int(label))
-        rows.append(row)
-
-    uniq = sorted(set(raw_labels))
-    remap = {orig: i for i, orig in enumerate(uniq)}
-    labels = np.asarray([remap[l] for l in raw_labels], dtype=np.int64)
-    series = np.stack([_zscore(r) for r in rows])[:, None, :]
+    table = np.stack(rows)
+    del rows  # the table holds a copy; free the rows before z-scoring
+    _, labels = np.unique(table[:, 0], return_inverse=True)
+    x = table[:, 1:]  # row-wise mean and std: the bits of a per-row z-score
+    series = x - x.mean(axis=1, keepdims=True)
+    series /= x.std(axis=1, keepdims=True) + _ZSCORE_EPS
     return Dataset(
         name=name or str(path),
-        series=series,
+        series=series[:, None, :],
         labels=labels,
         dataset_id=dataset_id,
         split=split,

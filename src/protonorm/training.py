@@ -261,6 +261,13 @@ def _release_optimizer_state(state, params):
 # -- metrics ---------------------------------------------------------------
 
 
+def _check_labels(labels, n_classes, what="label"):
+    """Reject an integer class label outside ``[0, n_classes)``."""
+    bad = (labels < 0) | (labels >= n_classes)
+    if bad.any():
+        raise InputError(f"{what} {labels[np.argmax(bad)]} is outside [0, {n_classes})")
+
+
 @dataclass
 class Metrics:
     accuracy: float
@@ -275,6 +282,8 @@ class Metrics:
         y_pred = np.asarray(y_pred, dtype=np.int64)
         if y_true.size == 0:
             raise InputError("cannot compute metrics on an empty evaluation set")
+        _check_labels(y_true, n_classes)
+        _check_labels(y_pred, n_classes, "prediction")
         conf = np.zeros((n_classes, n_classes), dtype=np.int64)
         np.add.at(conf, (y_true, y_pred), 1)
         accuracy = np.trace(conf) / conf.sum()
@@ -314,6 +323,7 @@ def cross_entropy(logits, labels):
     b, k = logits.shape
     if labels.shape != (b,):
         raise ContractError(f"labels shape {labels.shape} != batch {b}")
+    _check_labels(labels, k)
     onehot = np.zeros((b, k))
     onehot[np.arange(b), labels] = 1.0
     lse = logsumexp(logits, axis=1)

@@ -1,6 +1,7 @@
 """The A/B harness's summary: seeds, quartiles, pairs won and op counts."""
 
 import importlib.util
+import json
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -58,3 +59,65 @@ def test_a_metric_no_run_of_one_side_measured_has_no_median():
     rate = ab.summarize(pairs, "peak_rss_mb", "lower")["metrics"]["pretrain_samples_per_s"]
     assert rate["change"] == {"median": None, "q1": None, "q3": None, "n": 0, "runs": []}
     assert rate["change_over_parent"] is None
+
+
+def _traced(load_s, absent=False):
+    return {
+        "correct": True,
+        "attempted": 3,
+        "failed": 0,
+        "metrics": {
+            "data.load_s": {"value": load_s, "unit": "s"},
+            "norm.gate_s": {"value": None if absent else 0.5, "unit": "s"},
+        },
+    }
+
+
+def test_traced_pairs_give_per_layer_medians_without_absent_layers():
+    pairs = [
+        (1, "parent", {"parent": _traced(0.6), "change": _traced(0.4, absent=True)}),
+        (2, "change", {"parent": _traced(0.5), "change": _traced(0.3, absent=True)}),
+    ]
+    per_layer = ab.summarize_traced(pairs)
+    assert per_layer["seeds"] == [1, 2] and per_layer["first"] == ["parent", "change"]
+    assert per_layer["all_correct"] is True
+    load = per_layer["metrics"]["data.load_s"]
+    assert load["parent"]["median"] == 0.55 and load["change"]["median"] == 0.35
+    assert abs(load["change_over_parent"] - 0.35 / 0.55) < 1e-15
+    gate = per_layer["metrics"]["norm.gate_s"]
+    assert gate["change"] == {"median": None, "q1": None, "q3": None, "n": 0, "runs": []}
+    assert gate["parent"]["runs"] == [0.5, 0.5] and gate["change_over_parent"] is None
+
+
+def test_trace_seeds_run_traced_pairs_on_both_sides(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_run(checkout, side, workload, seed, seconds, trace=0):
+        calls.append((side, seed, trace))
+        if trace:
+            return _traced(0.6 if side == "parent" else 0.4), None
+        return _result(700.0 if side == "parent" else 500.0, 10.0), None
+
+    monkeypatch.setattr(ab, "git", lambda *args, **kwargs: "0" * 40)
+    monkeypatch.setattr(ab, "working_tree_src_tree", lambda: "1" * 40)
+    monkeypatch.setattr(ab, "export_parent", lambda sha, dest: os.makedirs(dest))
+    monkeypatch.setattr(ab, "export_working_tree", lambda dest: os.makedirs(dest))
+    monkeypatch.setattr(ab, "run_benchmark", fake_run)
+    out = tmp_path / "BENCH_test.json"
+    ab.main(["--parent", "HEAD", "--workload", "shift-pipeline", "--seeds", "1-3",
+             "--trace-seeds", "2,5", "--out", str(out), "--workdir", str(tmp_path)])
+    assert calls == [
+        ("parent", 1, 0), ("change", 1, 0), ("change", 2, 0), ("parent", 2, 0),
+        ("parent", 3, 0), ("change", 3, 0),
+        ("parent", 2, 1), ("change", 2, 1), ("change", 5, 1), ("parent", 5, 1),
+    ]
+    doc = json.loads(out.read_text())
+    assert doc["traced_benchmark"].endswith("--trace 1")
+    entry = doc["workloads"]["shift-pipeline"]
+    assert entry["seeds"]["change"] == [1, 2, 3]
+    assert entry["peak_rss_mb_pairs_won"] == {"change": 3, "pairs": 3}
+    assert "data.load_s" not in entry["metrics"]
+    per_layer = entry["per_layer"]
+    assert per_layer["seeds"] == [2, 5] and per_layer["first"] == ["parent", "change"]
+    assert per_layer["metrics"]["data.load_s"]["change"]["runs"] == [0.4, 0.4]
+    assert "data.load_s: parent 0.6 -> change 0.4" in capsys.readouterr().out

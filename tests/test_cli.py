@@ -153,6 +153,29 @@ def _generate_then_pretrain(tmp_path, extra_flags=()):
     return cfg_path, out
 
 
+@pytest.mark.parametrize("source", ["missing.tsv", "directory", "latin1.tsv"])
+def test_unreadable_source_is_a_named_error(tmp_path, capsys, source):
+    path = tmp_path / source
+    if source == "directory":
+        path.mkdir()
+    elif source == "latin1.tsv":
+        path.write_bytes(b"1\t0.5\t1.0\n2\t1.5\t\xff\n")
+    cfg = desk_config(tmp_path, synthetic=None, source_path=str(path))
+    out = tmp_path / "runs"
+    assert run(["generate", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    expected = (
+        f"error: ParseError: {path}: line 2: not UTF-8 text"
+        if source == "latin1.tsv"
+        else f"error: InputError: {path}: cannot read the file"
+    )
+    assert err.startswith(expected), err
+    assert "Traceback" not in err
+    status = json.loads(open(os.path.join(only_run_dir(out, "generate-"), "status.json")).read())
+    assert status["status"] == "failed"
+    assert status["error"] == err[len("error: "):].rstrip("\n")
+
+
 def test_pretrain_outputs_and_determinism(tmp_path):
     import time
 

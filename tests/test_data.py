@@ -115,6 +115,175 @@ def test_save_load_roundtrip(tmp_path):
         assert np.allclose(a, b, atol=1e-6)
 
 
+def test_load_unreadable_file_names_the_path(tmp_path):
+    for path in (tmp_path / "missing.tsv", tmp_path):
+        with pytest.raises(InputError, match=re.escape(f"{path}: cannot read the file")):
+            load_ucr_tsv(path)
+
+
+def test_load_non_utf8_bytes_name_the_path_and_line(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"1\t0.5\t1.0\n\n2\t1.5\t0.5\xff\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line 3: not UTF-8 text")) as e:
+        load_ucr_tsv(path)
+    assert "byte 0xff in position 9" in str(e.value)
+    path.write_bytes(b"1\t0.5\t1.0\n2\t1.5\t0.5\xc3")  # cut off inside a character
+    with pytest.raises(ParseError, match="line 2: not UTF-8 text"):
+        load_ucr_tsv(path)
+    path.write_bytes(b"1\tx\t1.0\n2\t1.5\t0.5\xff\n")  # the first bad line wins
+    with pytest.raises(ParseError, match="line 1: non-numeric"):
+        load_ucr_tsv(path)
+
+
+def test_dataset_rejects_a_negative_label_by_name():
+    with pytest.raises(InputError, match="signed: negative class label -1 at sample 2"):
+        Dataset("signed", np.zeros((3, 1, 4)), np.array([0, 1, -1]))
+
+
+def _reference_zscore(series):
+    m = series.mean()
+    s = series.std()
+    return (series - m) / (s + 1e-8)
+
+
+def _reference_load(path):
+    """The per-line loader ``load_ucr_tsv`` replaced: every field through
+    ``float()`` one at a time, each series z-scored on its own."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [
+            (lineno, ln.rstrip("\n"))
+            for lineno, ln in enumerate(fh, start=1)
+            if ln.strip()
+        ]
+    if not lines:
+        raise InputError(f"{path}: empty dataset file")
+
+    raw_labels = []
+    rows = []
+    width = None
+    for lineno, ln in lines:
+        if "\t" in ln:
+            fields = ln.split("\t")
+        elif "," in ln:
+            fields = ln.split(",")
+        else:
+            fields = ln.split()
+        fields = [f for f in fields if f.strip()]
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as e:
+            raise ParseError(f"{path}: line {lineno}: non-numeric field ({e})") from e
+        if len(values) < 2:
+            raise ParseError(f"{path}: line {lineno}: need a label plus at least one value")
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
+            )
+        label = values[0]
+        if not np.isfinite(label) or label != int(label):
+            raise ParseError(f"{path}: line {lineno}: non-integer label {label}")
+        row = np.asarray(values[1:], dtype=np.float64)
+        finite = np.isfinite(row)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ParseError(
+                f"{path}: line {lineno}: non-finite value {row[k]} in field {k + 2}"
+            )
+        raw_labels.append(int(label))
+        rows.append(row)
+
+    uniq = sorted(set(raw_labels))
+    remap = {orig: i for i, orig in enumerate(uniq)}
+    labels = np.asarray([remap[l] for l in raw_labels], dtype=np.int64)
+    series = np.stack([_reference_zscore(r) for r in rows])[:, None, :]
+    return series, labels
+
+
+def _full_precision_file(seed, n, length):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, length)) * rng.uniform(0.01, 100.0) + rng.uniform(-50.0, 50.0)
+    x[n // 2] = 3.0  # a constant series
+    labels = rng.integers(-3, 9, n)
+    return "".join(
+        "\t".join([str(label)] + [repr(float(v)) for v in row]) + "\n"
+        for row, label in zip(x, labels)
+    )
+
+
+DIFFERENTIAL_FILES = {
+    "mixed-separators": "1\t0.5\t1.5\n2,1.5,0.5\n3 0.1 0.2\n2  0.3   0.4 \n",
+    "trailing-and-doubled": "1\t0.5\t\t1.5\t\n2,,1.5,0.5,\n,3,,0.25,0.75\n",
+    "whitespace-fields": "1\t 0.5 \t \t1.5\n   \n\t\t\n2\t1.5\t0.5\t \n",
+    "unicode-whitespace": "1 0.5 1.5\n2\t 0.5 \t1\n",
+    "crlf": "1\t0.5\t1.5\r\n\r\n2\t1.5\t0.5\r\n",
+    "lone-cr": "1 2 3\r2 3 4\r\r0 1 1\n",
+    "blank-lines": "\n\n1\t0.5\t1.5\n\n2\t1.5\t0.5\n\n",
+    "labels-float-spellings": "1.0\t1\t2\n-0\t2\t3\n1e20\t3\t4\n0\t1\t1\n-7\t0\t5\n",
+    "label-2.5": "1\t1\t2\n2.5\t2\t3\n",
+    "label-nan": "1\t1\t2\nnan\t2\t3\n",
+    "label-inf": "1\t1\t2\n-inf\t2\t3\n",
+    "value-inf": "1\t1\t2\t3\n0\t1\tinf\t3\n",
+    "value-1e400": "1\t1\t2\t3\n0\t1\t2\t-1e400\n",
+    "value-nan": "1\t1\tNaN\t3\n",
+    "underscores": "1_0\t1_000.5\t2\n2\t0.5\t1_2\n",
+    "bad-underscore": "1\t1__0\t2\n",
+    "unicode-digits": "١\t٢.5\t3\n2\t1\t٣\n",
+    "ragged": "1\t0.5\t1.5\n2\t1.5\n",
+    "ragged-longer": "1\t0.5\t1.5\n2\t1.5\t0.5\t2.5\n",
+    "single-field": "1\t0.5\n7\n",
+    "single-field-first": "7\n1\t0.5\n",
+    "only-separators": "1\t0.5\n\t,\t\n",
+    "only-commas": "1,0.5\n,,\n",
+    "non-numeric": "1\t0.5\t1.0\n2\tx\t0.5\n",
+    "non-numeric-after-blank": "1\t0.5\t1.0\n2\t\tx\t0.5\n",
+    "empty": "\n \n\t\n",
+    "one-line-one-value": "3\t2.5\n",
+    "label-then-width": "1\t1\t2\n2.5\t2\t3\n1\t2\n",
+    "width-then-label": "1\t1\t2\n1\t2\n2.5\t2\t3\n",
+    "value-then-non-numeric": "1\t1\t2\n1\tinf\t3\n\n1\tx\t2\n",
+    "non-numeric-then-value": "1\t1\t2\n1\tx\t2\n1\tinf\t3\n",
+    "label-then-single-field": "1\t1\t2\nnan\t2\t3\n4\n",
+    "value-then-label": "1\t1\t2\n1\t2\tinf\n2.5\t2\t3\n",
+    "label-then-value": "1\t1\t2\n0.5\t2\t3\n1\t2\tinf\n",
+    "in-line-non-numeric-before-few-fields": "1\t1\t2\nx\n",
+    "in-line-non-numeric-before-width": "1\t1\t2\n2\tx\n",
+    "in-line-width-before-label": "1\t1\t2\n2.5\t1\n",
+    "in-line-label-before-value": "1\t1\t2\n2.5\tinf\t1\n",
+    "full-precision-7x16": _full_precision_file(1, 7, 16),
+    "full-precision-33x129": _full_precision_file(2, 33, 129),
+    "full-precision-100x3": _full_precision_file(3, 100, 3),
+    "full-precision-5x1": _full_precision_file(4, 5, 1),
+    "full-precision-2000x128": _full_precision_file(5, 2000, 128),  # a benchmark test file
+    "full-precision-50x1000": _full_precision_file(6, 50, 1000),  # a long UCR series
+    "finite-values-whose-mean-overflows": "1\t1e308\t1e308\t-1e308\n0\t1\t2\t3\n",
+}
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as e:  # the type and message are what is compared
+        return (type(e), str(e))
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_FILES))
+def test_load_matches_the_per_line_reference(tmp_path, case):
+    path = tmp_path / f"{case}.txt"
+    path.write_bytes(DIFFERENTIAL_FILES[case].encode("utf-8"))
+    expected = _outcome(_reference_load, path)
+    got = _outcome(load_ucr_tsv, path)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    assert isinstance(got, Dataset), got
+    series, labels = expected
+    assert got.series.shape == series.shape
+    assert got.series.tobytes() == series.tobytes()
+    assert got.labels.dtype == labels.dtype and np.array_equal(got.labels, labels)
+
+
 # -- standardize ---------------------------------------------------------
 
 

@@ -359,6 +359,19 @@ def test_metrics_confusion_row_sums_are_support():
     assert m.accuracy == np.trace(m.confusion) / 6
 
 
+def test_labels_outside_the_classes_are_rejected():
+    with pytest.raises(InputError, match=r"label -1 is outside \[0, 2\)"):
+        Metrics.from_predictions([0, 1, -1], [0, 1, 1], 2)
+    with pytest.raises(InputError, match=r"label 2 is outside \[0, 2\)"):
+        Metrics.from_predictions([0, 2], [0, 1], 2)
+    with pytest.raises(InputError, match=r"prediction 3 is outside \[0, 3\)"):
+        Metrics.from_predictions([0, 1], [0, 3], 3)
+    logits = Tensor(np.zeros((3, 2)), requires_grad=True)
+    for bad in (-1, 2):
+        with pytest.raises(InputError, match=rf"label {bad} is outside \[0, 2\)"):
+            cross_entropy(logits, np.array([0, bad, 1]))
+
+
 def test_metrics_zero_support_class_contributes_zero():
     m = Metrics.from_predictions([0, 0], [0, 0], 3)
     assert m.per_class_f1.tolist() == [1.0, 0.0, 0.0]

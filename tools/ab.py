@@ -4,6 +4,8 @@
         --seconds 30 --out BENCH_<tag>.json --change "what the change does"
 
 ``--workload`` may be given more than once; each workload runs every seed.
+``--trace-seeds 1,2`` adds, per workload, a pair of ``--trace 1`` runs for
+each of those seeds, so a claim can show which layer its saving sits in.
 
 Runs ``benchmarks/run.py`` unchanged, once per seed on each side: on a
 ``git archive`` of the parent revision and on a copy of the working tree
@@ -15,8 +17,10 @@ the machine falls on both sides alike.
 The output holds, per workload, every run's value of every end-to-end
 metric, the median and quartiles of each side, the ratio of the medians,
 how many pairs the change won on the ``--claim`` metric (in the direction
-``BENCHMARK.json`` gives), and the operations attempted and failed. It
-names the parent commit and the git tree of ``src/`` on both sides.
+``BENCHMARK.json`` gives), and the operations attempted and failed; with
+``--trace-seeds``, the same figures of every per-layer metric under
+``per_layer``. It names the parent commit and the git tree of ``src/`` on
+both sides.
 """
 
 from __future__ import annotations
@@ -98,11 +102,11 @@ def export_working_tree(dest):
         shutil.copy2(os.path.join(ROOT, rel), target)
 
 
-def run_benchmark(checkout, side, workload, seed, seconds):
+def run_benchmark(checkout, side, workload, seed, seconds, trace=0):
     """The result line and the results file of one ``benchmarks/run.py``."""
     cmd = [
         sys.executable, "benchmarks/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
+        "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace),
     ]
     proc = subprocess.run(
         cmd, cwd=checkout, capture_output=True, text=True, timeout=10 * seconds + 600
@@ -121,19 +125,36 @@ def run_benchmark(checkout, side, workload, seed, seconds):
     return json.loads(lines[-1]), doc
 
 
-def summarize(pairs, claim, better):
-    """One workload's entry, from ``pairs``: (seed, first side, {side: result})."""
+def summarize_metrics(pairs):
+    """Each metric's runs, median and quartiles per side and the ratio of the
+    medians, from ``pairs``: (seed, first side, {side: result}). A run that
+    read no value (a traced layer whose entry point is absent) is left out."""
     names = sorted({m for _, _, res in pairs for side in SIDES for m in res[side]["metrics"]})
     metrics = {}
     for name in names:
         entry = {}
         for side in SIDES:
-            runs = [res[side]["metrics"][name]["value"]
-                    for _, _, res in pairs if name in res[side]["metrics"]]
+            runs = [res[side]["metrics"][name]["value"] for _, _, res in pairs
+                    if res[side]["metrics"].get(name, {}).get("value") is not None]
             entry[side] = dict(quartiles(runs), runs=runs)
         p, c = entry["parent"]["median"], entry["change"]["median"]
         entry["change_over_parent"] = c / p if p and c is not None else None
         metrics[name] = entry
+    return metrics
+
+
+def summarize_traced(pairs):
+    """The ``per_layer`` entry of a workload, from its ``--trace 1`` pairs."""
+    return {
+        "all_correct": all(res[side]["correct"] for _, _, res in pairs for side in SIDES),
+        "first": [first for _, first, _ in pairs],
+        "metrics": summarize_metrics(pairs),
+        "seeds": [seed for seed, _, _ in pairs],
+    }
+
+
+def summarize(pairs, claim, better):
+    """One workload's entry, from ``pairs``: (seed, first side, {side: result})."""
     both = [(res["parent"]["metrics"][claim]["value"], res["change"]["metrics"][claim]["value"])
             for _, _, res in pairs
             if claim in res["parent"]["metrics"] and claim in res["change"]["metrics"]]
@@ -144,7 +165,7 @@ def summarize(pairs, claim, better):
         "attempted_ops": {s: sum(res[s]["attempted"] for _, _, res in pairs) for s in SIDES},
         "failed_ops": {s: sum(res[s]["failed"] for _, _, res in pairs) for s in SIDES},
         "first": [first for _, first, _ in pairs],
-        "metrics": metrics,
+        "metrics": summarize_metrics(pairs),
         f"{claim}_pairs_won": {"change": won, "pairs": len(both)},
         "seeds": {s: seeds for s in SIDES},
     }
@@ -168,6 +189,27 @@ def claim_direction(claim):
     return declared[claim]
 
 
+def run_pairs(checkouts, workload, seeds, seconds, trace, claim, doc):
+    """(seed, first side, {side: result}) of one run per side and seed, the
+    side that runs first alternating from seed to seed."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        results = {}
+        for side in order:
+            results[side], run_doc = run_benchmark(
+                checkouts[side], side, workload, seed, seconds, trace
+            )
+            if doc["host"] is None and run_doc is not None:
+                doc["host"] = host_info(run_doc)
+            value = results[side]["metrics"].get(claim, {}).get("value")
+            shown = "traced" if trace else f"{claim}={value}"
+            print(f"{workload} seed {seed} {side}: {shown} correct={results[side]['correct']}",
+                  file=sys.stderr, flush=True)
+        pairs.append((seed, order[0], results))
+    return pairs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -179,6 +221,8 @@ def main(argv=None):
                         help="the metric whose pairs won are counted (default peak_rss_mb)")
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--workdir", help="where the two checkouts go (default: the temp dir)")
+    parser.add_argument("--trace-seeds", type=parse_seeds, default=[],
+                        help="seeds to run once more per side with --trace 1 (e.g. 1,2)")
     args = parser.parse_args(argv)
 
     better = claim_direction(args.claim)
@@ -194,27 +238,20 @@ def main(argv=None):
                      "change": working_tree_src_tree()},
         "workloads": {},
     }
+    if args.trace_seeds:
+        doc["traced_benchmark"] = doc["benchmark"].replace("--trace 0", "--trace 1")
     work = tempfile.mkdtemp(prefix="ab-", dir=args.workdir)
     try:
         checkouts = {"parent": os.path.join(work, "parent"), "change": os.path.join(work, "change")}
         export_parent(sha, checkouts["parent"])
         export_working_tree(checkouts["change"])
         for workload in args.workload:
-            pairs = []
-            for i, seed in enumerate(args.seeds):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                results = {}
-                for side in order:
-                    results[side], run_doc = run_benchmark(
-                        checkouts[side], side, workload, seed, args.seconds
-                    )
-                    if doc["host"] is None and run_doc is not None:
-                        doc["host"] = host_info(run_doc)
-                    value = results[side]["metrics"].get(args.claim, {}).get("value")
-                    print(f"{workload} seed {seed} {side}: {args.claim}={value} "
-                          f"correct={results[side]['correct']}", file=sys.stderr, flush=True)
-                pairs.append((seed, order[0], results))
-            doc["workloads"][workload] = summarize(pairs, args.claim, better)
+            pairs = run_pairs(checkouts, workload, args.seeds, args.seconds, 0, args.claim, doc)
+            entry = doc["workloads"][workload] = summarize(pairs, args.claim, better)
+            if args.trace_seeds:
+                traced = run_pairs(checkouts, workload, args.trace_seeds, args.seconds, 1,
+                                   args.claim, doc)
+                entry["per_layer"] = summarize_traced(traced)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -228,7 +265,7 @@ def main(argv=None):
         won = entry[f"{args.claim}_pairs_won"]
         print(f"{workload}: all correct {entry['all_correct']}; {args.claim} better "
               f"in {won['change']} of {won['pairs']} pairs")
-        for name, m in entry["metrics"].items():
+        for name, m in {**entry["metrics"], **entry.get("per_layer", {}).get("metrics", {})}.items():
             ratio = m["change_over_parent"]
             p, c = (f"{v:.6g}" if v is not None else "none"
                     for v in (m["parent"]["median"], m["change"]["median"]))
