@@ -144,6 +144,13 @@ def _load_pretrain_pool(cfg):
     return train_pool, (val_pool or None)
 
 
+def _load_finetune_test(cfg):
+    """The fine-tuning test file, standardized on a stream of its own, so
+    ``finetune`` and ``eval`` read it alike without the train file."""
+    test = load_ucr_tsv(cfg.data.finetune_test_path, split="test")
+    return standardize_dataset(test, cfg.standardize, _derived_rng(cfg.seed, 5))
+
+
 def _load_finetune_splits(cfg):
     if cfg.data.finetune_train_path is None:
         raise ConfigError("data.finetune_train_path is required for this command")
@@ -152,8 +159,7 @@ def _load_finetune_splits(cfg):
     train = load_ucr_tsv(cfg.data.finetune_train_path)
     train = standardize_dataset(train, cfg.standardize, std_rng)
     if cfg.data.finetune_test_path is not None:
-        test = load_ucr_tsv(cfg.data.finetune_test_path, split="test")
-        test = standardize_dataset(test, cfg.standardize, std_rng)
+        test = _load_finetune_test(cfg)
     else:
         train, test = train_val_split(train, cfg.data.test_fraction, split_rng)
         test = replace(test, split="test")
@@ -279,7 +285,10 @@ def cmd_eval(cfg, model_path, out):
 
     def body():
         encoder, _, _, _ = load_checkpoint(model_path)
-        _, _, test = _load_finetune_splits(cfg)
+        if cfg.data.finetune_test_path is not None:
+            test = _load_finetune_test(cfg)
+        else:
+            _, _, test = _load_finetune_splits(cfg)
         metrics = evaluate(encoder, test, cfg.finetune.batch_size)
         _write_json(os.path.join(run_dir, "metrics.json"), metrics.to_dict())
 

@@ -1,5 +1,7 @@
 """Optimizer, schedule, pretrain/fine-tune loops, and metrics.
 
+Both loops take each epoch's batches from one generator, ``_epoch_batches``,
+and every step through one ``_step`` (loss check, backward, lr, AdamW).
 Everything here is engineered for bit-reproducible runs: randomness lives
 in named generator streams (parameter init, prototype init, augmentation,
 dropout, shuffling, subset sampling, classifier init), the loop position
@@ -250,6 +252,48 @@ def adamw_step(params, state, lr, cfg):
                 dst[...] = src
 
 
+def _step(loss, params, state, optim, phase):
+    """The one optimizer step of both loops: reject a non-finite ``loss``,
+    clear the gradients, backprop, then AdamW at the scheduled lr of the
+    step taken, which it returns. A diverged loss changes nothing."""
+    if not math.isfinite(loss.item()):
+        raise TrainingDiverged(f"{phase} loss became non-finite at step {state.step + 1}")
+    for p in params.values():
+        p.grad = None
+    loss.backward()
+    lr = cosine_warmup_lr(state.step + 1, optim)
+    adamw_step(params, state, lr, optim)
+    return lr
+
+
+def _schedule(optim_cfg, epochs, n, batch_size):
+    """``optim_cfg`` resolved to ``epochs`` epochs of ``n`` samples in batches."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    return optim_cfg.resolved(epochs * math.ceil(n / batch_size))
+
+
+def _epoch_batches(union, state, batch_size):
+    """The batches of ``union`` left in the epoch ``state`` is in; a fresh
+    epoch draws its order from the shuffle stream. ``state.batch_idx``
+    advances once the caller's step on a batch is done, so an interrupt
+    keeps that batch; the order and index reset when the epoch ends."""
+    n = len(union)
+    if state.batch_order is None:
+        state.batch_order = state.streams.shuffle.permutation(n)
+        state.batch_idx = 0
+    elif len(state.batch_order) != n:
+        raise InputError(
+            f"the resumed epoch orders {len(state.batch_order)} samples "
+            f"but the pool holds {n}"
+        )
+    for start in range(state.batch_idx * batch_size, n, batch_size):
+        yield union[state.batch_order[start : start + batch_size]]
+        state.batch_idx += 1
+    state.batch_order = None
+    state.batch_idx = 0
+
+
 def _release_optimizer_state(state, params):
     """Drop the moments and the last gradients of a phase that has taken
     its last step: nothing reads them again."""
@@ -466,8 +510,6 @@ def pretrain(
     """
     from .checkpoint import save_checkpoint
 
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if state is None:
         state = TrainState(streams=RngStreams.from_seed(seed))
     if state.step > 0 and not state.moments:
@@ -478,14 +520,7 @@ def pretrain(
         )
     streams = state.streams
     union = flatten_pool(pool)
-    n = len(union)
-    if state.batch_order is not None and len(state.batch_order) != n:
-        raise InputError(
-            f"the resumed epoch orders {len(state.batch_order)} samples "
-            f"but the pool holds {n}"
-        )
-    steps_per_epoch = math.ceil(n / batch_size)
-    optim = optim_cfg.resolved(epochs * steps_per_epoch)
+    optim = _schedule(optim_cfg, epochs, len(union), batch_size)
     all_params = encoder.parameters()
     rows = []
     histograms = {}
@@ -500,10 +535,7 @@ def pretrain(
         return path
 
     for epoch in range(state.epoch, epochs):
-        if state.batch_order is None:
-            state.batch_order = streams.shuffle.permutation(n)
-            state.batch_idx = 0
-        while state.batch_idx < steps_per_epoch:
+        for batch in _epoch_batches(union, state, batch_size):
             if stop_after_steps is not None and state.step >= stop_after_steps:
                 checkpoint_to("interrupt")
                 return PretrainResult(
@@ -514,34 +546,19 @@ def pretrain(
                     interrupted=True,
                     final_checkpoint=paths.get("interrupt"),
                 )
-            start = state.batch_idx * batch_size
-            batch = union[state.batch_order[start : start + batch_size]]
             nt, orth_terms, loss = pretrain_losses(
                 encoder, batch, aug_cfg, nt_cfg, streams.augment, streams.dropout,
                 histograms=histograms,
             )
-            nt_val = nt.item()
-            orth_val = float(sum(t.item() for t in orth_terms))
-            total_val = loss.item()
-            if not math.isfinite(total_val):
-                raise TrainingDiverged(
-                    f"pretraining loss became non-finite at step {state.step + 1}"
-                    + (
-                        f"; last good checkpoint: {paths['last']}"
-                        if paths["last"]
-                        else ""
-                    )
-                )
-            for p in all_params.values():
-                p.grad = None
-            loss.backward()
-            lr = cosine_warmup_lr(state.step + 1, optim)
-            adamw_step(all_params, state, lr, optim)
+            try:
+                lr = _step(loss, all_params, state, optim, "pretraining")
+            except TrainingDiverged as e:
+                if paths["last"] is None:
+                    raise
+                raise TrainingDiverged(f"{e}; last good checkpoint: {paths['last']}") from e
             encoder.apply_ema_updates()
-            state.batch_idx += 1
-            rows.append((state.step, lr, nt_val, orth_val, total_val))
-        state.batch_order = None
-        state.batch_idx = 0
+            orth = float(sum(t.item() for t in orth_terms))
+            rows.append((state.step, lr, nt.item(), orth, loss.item()))
         state.epoch = epoch + 1
         if val_pool is not None:
             val_loss = _validation_loss(
@@ -638,30 +655,19 @@ def finetune(
     bit-stability is asserted every epoch. It returns with no parameter
     holding a ``.grad``.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     train_ds, val_ds, test_ds = splits
     state = TrainState(streams=RngStreams.from_seed(seed))
     streams = state.streams
-    n_classes = int(
-        max(
-            train_ds.labels.max(),
-            val_ds.labels.max() if len(val_ds) else 0,
-            test_ds.labels.max() if len(test_ds) else 0,
-        )
-    ) + 1
+    n_classes = int(max((ds.labels.max() for ds in splits if len(ds)), default=0)) + 1
+    subset = stratified_subset(train_ds, n_labeled, streams.subset)
+    union = flatten_pool(subset)
+    optim = _schedule(optim_cfg, epochs, len(union), batch_size)
 
     encoder.drop_projection_head()
     encoder.set_banks_frozen(True)
     encoder.attach_classifier(n_classes, streams.head)
+    proto_snapshot = [bank.P.data.copy() for bank in encoder.banks()]
 
-    subset = stratified_subset(train_ds, n_labeled, streams.subset)
-    proto_snapshot = {
-        f"bank{i}": bank.P.data.copy() for i, bank in enumerate(encoder.banks())
-    }
-
-    steps_per_epoch = math.ceil(len(subset) / batch_size)
-    optim = optim_cfg.resolved(epochs * steps_per_epoch)
     all_params = encoder.parameters()
     rows = []
     val_history = []
@@ -670,7 +676,7 @@ def finetune(
     best_params = None
 
     for epoch in range(epochs):
-        for batch in batches(subset, batch_size, shuffle_rng=streams.shuffle):
+        for batch in _epoch_batches(union, state, batch_size):
             logits = encoder.encode(
                 batch.x,
                 "finetune",
@@ -679,22 +685,11 @@ def finetune(
                 dataset_ids=batch.dataset_ids,
             )
             loss = cross_entropy(logits, batch.labels)
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise TrainingDiverged(
-                    f"fine-tuning loss became non-finite at step {state.step + 1}"
-                )
-            for p in all_params.values():
-                p.grad = None
-            loss.backward()
-            lr = cosine_warmup_lr(state.step + 1, optim)
-            adamw_step(all_params, state, lr, optim)
-            rows.append((state.step, lr, loss_val))
-        for i, bank in enumerate(encoder.banks()):
-            if not np.array_equal(bank.P.data, proto_snapshot[f"bank{i}"]):
-                raise ContractError(
-                    f"frozen prototype bank {i} mutated during fine-tuning"
-                )
+            lr = _step(loss, all_params, state, optim, "fine-tuning")
+            rows.append((state.step, lr, loss.item()))
+        for i, (bank, before) in enumerate(zip(encoder.banks(), proto_snapshot)):
+            if not np.array_equal(bank.P.data, before):
+                raise ContractError(f"frozen prototype bank {i} mutated during fine-tuning")
         if len(val_ds):
             acc = evaluate(encoder, val_ds, batch_size).accuracy
             val_history.append((epoch, acc))

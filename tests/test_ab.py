@@ -105,7 +105,8 @@ def test_trace_seeds_run_traced_pairs_on_both_sides(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(ab, "run_benchmark", fake_run)
     out = tmp_path / "BENCH_test.json"
     ab.main(["--parent", "HEAD", "--workload", "shift-pipeline", "--seeds", "1-3",
-             "--trace-seeds", "2,5", "--out", str(out), "--workdir", str(tmp_path)])
+             "--trace-seeds", "2,5", "--claim", "peak_rss_mb", "--out", str(out),
+             "--workdir", str(tmp_path)])
     assert calls == [
         ("parent", 1, 0), ("change", 1, 0), ("change", 2, 0), ("parent", 2, 0),
         ("parent", 3, 0), ("change", 3, 0),
@@ -121,3 +122,62 @@ def test_trace_seeds_run_traced_pairs_on_both_sides(tmp_path, monkeypatch, capsy
     assert per_layer["seeds"] == [2, 5] and per_layer["first"] == ["parent", "change"]
     assert per_layer["metrics"]["data.load_s"]["change"]["runs"] == [0.4, 0.4]
     assert "data.load_s: parent 0.6 -> change 0.4" in capsys.readouterr().out
+
+
+def _sides(parent, change):
+    return {"parent": dict(ab.quartiles(parent), runs=parent),
+            "change": dict(ab.quartiles(change), runs=change)}
+
+
+def test_regression_sets_each_median_against_its_bound():
+    declared = {
+        "peak_rss_mb": {"better": "lower", "bound": 0.1},
+        "pretrain_samples_per_s": {"better": "higher", "bound": 0.25},
+        "setup_s": {"better": "lower", "bound": 0.25},
+        "test_accuracy": {"better": "higher", "bound": 0.15},
+    }
+    metrics = {
+        # 12% more memory on a tight parent: worse
+        "peak_rss_mb": _sides([100.0, 100.0, 101.0, 100.0], [112.0, 112.0, 113.0, 112.0]),
+        # 20% slower, within its 25% bound
+        "pretrain_samples_per_s": _sides([10.0, 10.0, 10.0, 10.0], [8.0, 8.0, 8.0, 8.0]),
+        # a parent spread of 50% is wider than the bound: cannot tell
+        "setup_s": _sides([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4]),
+    }
+    verdicts = ab.regression(metrics, declared)
+    rss = verdicts["peak_rss_mb"]
+    assert rss["verdict"] == "worse" and abs(rss["worse_by"] - 0.12) < 1e-12
+    rate = verdicts["pretrain_samples_per_s"]
+    assert rate["verdict"] == "within" and abs(rate["worse_by"] - 0.2) < 1e-12
+    assert rate["parent_spread"] == 0.0
+    setup = verdicts["setup_s"]
+    assert setup["verdict"] == "unresolved" and setup["parent_spread"] > 0.25
+    assert verdicts["test_accuracy"] == {"bound": 0.15, "verdict": "unmeasured"}
+    # a wide parent spread is resolved when every change run reads better
+    metrics["setup_s"] = _sides([0.1, 0.2, 0.3, 0.4], [0.01, 0.02, 0.03, 0.04])
+    setup = ab.regression(metrics, declared)["setup_s"]
+    assert setup["verdict"] == "within" and setup["worse_by"] < 0
+
+
+def test_a_run_without_a_claim_reports_each_metric_against_its_bound(tmp_path, monkeypatch,
+                                                                      capsys):
+    def fake_run(checkout, side, workload, seed, seconds, trace=0):
+        return _result(700.0 if side == "parent" else 800.0, 10.0), None
+
+    monkeypatch.setattr(ab, "git", lambda *args, **kwargs: "0" * 40)
+    monkeypatch.setattr(ab, "working_tree_src_tree", lambda: "1" * 40)
+    monkeypatch.setattr(ab, "export_parent", lambda sha, dest: os.makedirs(dest))
+    monkeypatch.setattr(ab, "export_working_tree", lambda dest: os.makedirs(dest))
+    monkeypatch.setattr(ab, "run_benchmark", fake_run)
+    out = tmp_path / "BENCH_test.json"
+    ab.main(["--parent", "HEAD", "--workload", "desk-pretrain", "--seeds", "1-2",
+             "--out", str(out), "--workdir", str(tmp_path)])
+    entry = json.loads(out.read_text())["workloads"]["desk-pretrain"]
+    assert not [key for key in entry if key.endswith("_pairs_won")]
+    regression = entry["regression"]
+    assert regression["peak_rss_mb"]["verdict"] == "worse"  # +14% against a 10% bound
+    assert regression["pretrain_samples_per_s"]["verdict"] == "within"
+    assert regression["setup_s"]["verdict"] == "unmeasured"
+    printed = capsys.readouterr().out
+    assert "peak_rss_mb: worse (worse by +14.29%, bound 10%" in printed
+    assert "better in" not in printed

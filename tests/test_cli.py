@@ -237,6 +237,38 @@ def test_finetune_and_eval_metrics_passthrough(tmp_path):
         assert sum(counts) == len(test), layer
 
 
+def test_eval_with_a_test_file_loads_only_that_file(tmp_path, monkeypatch):
+    """With data.finetune_test_path set, eval parses the test file alone
+    and scores it as fine-tuning standardized it."""
+    from protonorm import cli
+    from protonorm.cli import _load_finetune_splits
+
+    cfg_path, out = _generate_then_pretrain(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    test_path = doc["data"]["pretrain_paths"][1]
+    doc["data"]["finetune_test_path"] = test_path
+    cfg_path.write_text(json.dumps(doc))
+    ckpt = os.path.join(only_run_dir(out, "pretrain-"), "final.ckpt")
+    assert run(["finetune", ckpt, "--config", cfg_path, "--out", out]) == 0
+    model = os.path.join(only_run_dir(out, "finetune-"), "model.ckpt")
+
+    loaded = []
+    real_load = cli.load_ucr_tsv
+
+    def counting_load(path, *args, **kwargs):
+        loaded.append(path)
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_ucr_tsv", counting_load)
+    assert run(["eval", model, "--config", cfg_path, "--out", out]) == 0
+    assert loaded == [test_path]
+
+    ev_metrics = json.loads(open(os.path.join(only_run_dir(out, "eval-"), "metrics.json")).read())
+    _, _, test = _load_finetune_splits(load_run_config(cfg_path))
+    direct = evaluate(load_checkpoint(model)[0], test, 8)
+    assert ev_metrics == json.loads(json.dumps(direct.to_dict()))
+
+
 def test_norm_mode_flag_flips_only_that_field(tmp_path):
     cfg_path = desk_config(tmp_path)
     a = load_run_config(cfg_path, flags={"norm_mode": "plain"})

@@ -37,6 +37,7 @@ from protonorm import (
     stratified_subset,
     train_val_split,
 )
+from protonorm.data import batches
 from protonorm.training import ADAMW_CHUNK
 
 
@@ -748,11 +749,31 @@ def test_validation_loss_leaves_out_the_orthogonality_penalty():
     assert losses[0] == losses[1]
 
 
-def test_pretrain_divergence_aborts(tmp_path):
+def test_pretrain_divergence_aborts(tmp_path, monkeypatch):
+    from protonorm import training
+
     cfg, enc, streams = desk_encoder(seed=6)
     enc.proj[1].b.data[:] = np.nan  # poisons the loss, not the gating
     with pytest.raises(TrainingDiverged, match="non-finite"):
         run_pretrain(enc, streams, tiny_pool(), seed=6)
+
+    # past the first epoch, the message names the last good checkpoint
+    cfg, enc, streams = desk_encoder(seed=7)
+    calls = []
+    real_losses = training.pretrain_losses
+
+    def poisoned_losses(*args, **kwargs):
+        nt, orth_terms, loss = real_losses(*args, **kwargs)
+        calls.append(1)
+        return nt, orth_terms, loss * np.nan if len(calls) == 8 else loss
+
+    monkeypatch.setattr(training, "pretrain_losses", poisoned_losses)
+    last = f"{tmp_path}/last.ckpt"
+    with pytest.raises(TrainingDiverged) as raised:
+        run_pretrain(enc, streams, tiny_pool(), seed=7, out_dir=str(tmp_path))
+    assert str(raised.value) == (
+        f"pretraining loss became non-finite at step 8; last good checkpoint: {last}"
+    )
 
 
 def test_pretrain_rejects_a_pool_of_mixed_lengths():
@@ -884,6 +905,76 @@ def test_finetune_restores_a_best_epoch_that_is_not_the_first(monkeypatch):
         assert np.array_equal(snapshots[4][k], snapshots[2][k]), k
     assert any(not np.array_equal(snapshots[3][k], snapshots[2][k]) for k in params)
     assert all(t.grad is None for t in params.values())
+
+
+def test_finetune_divergence_names_the_step_and_changes_nothing(monkeypatch):
+    """A non-finite fine-tuning loss at step 3 raises before that step
+    touches any parameter or moment: they are those step 2 left."""
+    from protonorm import training
+
+    cfg, enc, streams = desk_encoder(seed=42)
+    calls = []
+    snapshots = []
+    real_cross_entropy, real_adamw_step = training.cross_entropy, training.adamw_step
+
+    def poisoned_cross_entropy(logits, labels):
+        calls.append(1)
+        loss = real_cross_entropy(logits, labels)
+        return loss * np.nan if len(calls) == 3 else loss
+
+    def recording_adamw_step(params, state, lr, cfg):
+        real_adamw_step(params, state, lr, cfg)
+        snapshots.append((
+            state,
+            {k: p.data.copy() for k, p in params.items()},
+            {k: [a.copy() for a in mv] for k, mv in state.moments.items()},
+        ))
+
+    monkeypatch.setattr(training, "cross_entropy", poisoned_cross_entropy)
+    monkeypatch.setattr(training, "adamw_step", recording_adamw_step)
+    with pytest.raises(TrainingDiverged) as raised:
+        finetune(
+            separable_task(seed=43), enc, OptimConfig(warmup_steps=2),
+            epochs=2, batch_size=16, n_labeled="all", seed=42,
+        )
+    assert str(raised.value) == "fine-tuning loss became non-finite at step 3"
+    assert len(snapshots) == 2
+    state, params, moments = snapshots[-1]
+    assert state.step == 2
+    assert enc.parameters().keys() == params.keys()
+    for k, p in enc.parameters().items():
+        assert np.array_equal(p.data, params[k]), k
+    assert state.moments.keys() == moments.keys()
+    for k, (m, v) in state.moments.items():
+        assert np.array_equal(m, moments[k][0]) and np.array_equal(v, moments[k][1]), k
+
+
+def test_finetune_visits_its_subset_in_the_order_batches_draws():
+    """Each epoch takes the labeled subset in the order that ``batches``
+    gives on a copy of the same shuffle stream, final partial batch
+    included."""
+    cfg, enc, streams = desk_encoder(seed=40)
+    splits = separable_task(seed=41)
+    seen = []
+    encode = enc.encode
+
+    def recording_encode(x, mode, **kwargs):
+        if mode == "finetune":
+            seen.append(x.copy())
+        return encode(x, mode, **kwargs)
+
+    enc.encode = recording_encode
+    finetune(
+        splits, enc, OptimConfig(warmup_steps=2),
+        epochs=3, batch_size=8, n_labeled=19, seed=40,
+    )
+    copy = RngStreams.from_seed(40)
+    subset = stratified_subset(splits[0], 19, copy.subset)
+    expected = [b.x for _ in range(3) for b in batches(subset, 8, shuffle_rng=copy.shuffle)]
+    assert [len(x) for x in seen] == [8, 8, 3] * 3
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert np.array_equal(got, want)
 
 
 def test_evaluate_batch_size_invariance():

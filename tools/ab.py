@@ -16,11 +16,15 @@ the machine falls on both sides alike.
 
 The output holds, per workload, every run's value of every end-to-end
 metric, the median and quartiles of each side, the ratio of the medians,
-how many pairs the change won on the ``--claim`` metric (in the direction
-``BENCHMARK.json`` gives), and the operations attempted and failed; with
-``--trace-seeds``, the same figures of every per-layer metric under
-``per_layer``. It names the parent commit and the git tree of ``src/`` on
-both sides.
+the operations attempted and failed, and under ``regression`` whether
+each end-to-end metric's change median is worse than the parent's by
+more than its ``BENCHMARK.json`` bound ("worse", else "within"), or
+"unresolved" where the parent's interquartile spread is wider than the
+bound and not every change run reads better than every parent run. With
+``--claim``, it also counts the pairs the change won on that metric (in
+the direction ``BENCHMARK.json`` gives); with ``--trace-seeds``, the same
+figures of every per-layer metric go under ``per_layer``. It names the
+parent commit and the git tree of ``src/`` on both sides.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ METHOD = (
     "(host-normalized, see benchmarks/README.md), and peak_rss_mb is the "
     "process's ru_maxrss; median and quartiles (statistics.quantiles, n=4) are "
     "over runs; <claim>_pairs_won counts the seed pairs in which the change's "
-    "value of the claimed metric was better"
+    "value of the claimed metric was better; regression sets each end-to-end "
+    "metric's change of median against its BENCHMARK.json bound"
 )
 CHANGE_SHA = "the parent plus this change, measured from the working tree; identified by src_tree"
 
@@ -153,22 +158,56 @@ def summarize_traced(pairs):
     }
 
 
-def summarize(pairs, claim, better):
-    """One workload's entry, from ``pairs``: (seed, first side, {side: result})."""
-    both = [(res["parent"]["metrics"][claim]["value"], res["change"]["metrics"][claim]["value"])
-            for _, _, res in pairs
-            if claim in res["parent"]["metrics"] and claim in res["change"]["metrics"]]
-    won = sum(c < p if better == "lower" else c > p for p, c in both)
+def summarize(pairs, claim=None, better=None):
+    """One workload's entry, from ``pairs``: (seed, first side, {side: result});
+    with a ``claim``, the pairs the change won on it in the ``better`` direction."""
     seeds = [seed for seed, _, _ in pairs]
-    return {
+    entry = {
         "all_correct": all(res[side]["correct"] for _, _, res in pairs for side in SIDES),
         "attempted_ops": {s: sum(res[s]["attempted"] for _, _, res in pairs) for s in SIDES},
         "failed_ops": {s: sum(res[s]["failed"] for _, _, res in pairs) for s in SIDES},
         "first": [first for _, first, _ in pairs],
         "metrics": summarize_metrics(pairs),
-        f"{claim}_pairs_won": {"change": won, "pairs": len(both)},
         "seeds": {s: seeds for s in SIDES},
     }
+    if claim is not None:
+        both = [(res["parent"]["metrics"][claim]["value"],
+                 res["change"]["metrics"][claim]["value"])
+                for _, _, res in pairs
+                if claim in res["parent"]["metrics"] and claim in res["change"]["metrics"]]
+        won = sum(c < p if better == "lower" else c > p for p, c in both)
+        entry[f"{claim}_pairs_won"] = {"change": won, "pairs": len(both)}
+    return entry
+
+
+def regression(metrics, declared):
+    """Per end-to-end metric of ``declared`` ({name: {"better", "bound"}}):
+    how much worse the change's median is than the parent's, as a fraction
+    of the parent's (negative when better), the parent's interquartile
+    spread as a fraction of its median, and the verdict: "unresolved" when
+    that spread exceeds the bound, unless every change run reads better
+    than every parent run; else "worse" beyond the bound, else "within".
+    A metric with no median on a side, or a parent median of 0, is
+    "unmeasured"."""
+    out = {}
+    for name, decl in sorted(declared.items()):
+        m = metrics.get(name)
+        p = m and m["parent"]["median"]
+        if not p or m["change"]["median"] is None:
+            out[name] = {"bound": decl["bound"], "verdict": "unmeasured"}
+            continue
+        sign = 1.0 if decl["better"] == "lower" else -1.0
+        worse_by = sign * (m["change"]["median"] - p) / abs(p)
+        spread = (m["parent"]["q3"] - m["parent"]["q1"]) / abs(p)
+        all_better = all(sign * (c - q) < 0 for c in m["change"]["runs"]
+                         for q in m["parent"]["runs"])
+        if spread > decl["bound"] and not all_better:
+            verdict = "unresolved"
+        else:
+            verdict = "worse" if worse_by > decl["bound"] else "within"
+        out[name] = {"bound": decl["bound"], "parent_spread": spread,
+                     "verdict": verdict, "worse_by": worse_by}
+    return out
 
 
 def host_info(doc):
@@ -181,12 +220,11 @@ def host_info(doc):
     return host
 
 
-def claim_direction(claim):
+def declared_metrics():
+    """{name: {"better", "bound"}} of every end-to-end metric of BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        declared = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    if claim not in declared:
-        raise SystemExit(f"ab: {claim!r} is not an end-to-end metric of BENCHMARK.json")
-    return declared[claim]
+        return {m["name"]: {"better": m["better"], "bound": m["bound"]}
+                for m in json.load(fh)["end_to_end"]}
 
 
 def run_pairs(checkouts, workload, seeds, seconds, trace, claim, doc):
@@ -203,7 +241,7 @@ def run_pairs(checkouts, workload, seeds, seconds, trace, claim, doc):
             if doc["host"] is None and run_doc is not None:
                 doc["host"] = host_info(run_doc)
             value = results[side]["metrics"].get(claim, {}).get("value")
-            shown = "traced" if trace else f"{claim}={value}"
+            shown = "traced" if trace else f"{claim}={value}" if claim else "measured"
             print(f"{workload} seed {seed} {side}: {shown} correct={results[side]['correct']}",
                   file=sys.stderr, flush=True)
         pairs.append((seed, order[0], results))
@@ -217,15 +255,18 @@ def main(argv=None):
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10 or 1,3,5")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", required=True, help="the BENCH_<tag>.json to write")
-    parser.add_argument("--claim", default="peak_rss_mb",
-                        help="the metric whose pairs won are counted (default peak_rss_mb)")
+    parser.add_argument("--claim", help="the end-to-end metric whose pairs won are counted "
+                                        "(default: none, no gain claimed)")
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--workdir", help="where the two checkouts go (default: the temp dir)")
     parser.add_argument("--trace-seeds", type=parse_seeds, default=[],
                         help="seeds to run once more per side with --trace 1 (e.g. 1,2)")
     args = parser.parse_args(argv)
 
-    better = claim_direction(args.claim)
+    declared = declared_metrics()
+    if args.claim is not None and args.claim not in declared:
+        raise SystemExit(f"ab: {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
+    better = declared[args.claim]["better"] if args.claim else None
     sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     doc = {
         "benchmark": f"python3 benchmarks/run.py --workload <name> --seed <seed> "
@@ -248,6 +289,7 @@ def main(argv=None):
         for workload in args.workload:
             pairs = run_pairs(checkouts, workload, args.seeds, args.seconds, 0, args.claim, doc)
             entry = doc["workloads"][workload] = summarize(pairs, args.claim, better)
+            entry["regression"] = regression(entry["metrics"], declared)
             if args.trace_seeds:
                 traced = run_pairs(checkouts, workload, args.trace_seeds, args.seconds, 1,
                                    args.claim, doc)
@@ -262,9 +304,16 @@ def main(argv=None):
     os.replace(tmp, args.out)
 
     for workload, entry in doc["workloads"].items():
-        won = entry[f"{args.claim}_pairs_won"]
-        print(f"{workload}: all correct {entry['all_correct']}; {args.claim} better "
-              f"in {won['change']} of {won['pairs']} pairs")
+        print(f"{workload}: all correct {entry['all_correct']}")
+        if args.claim:
+            won = entry[f"{args.claim}_pairs_won"]
+            print(f"  {args.claim} better in {won['change']} of {won['pairs']} pairs")
+        for name, r in entry["regression"].items():
+            if r["verdict"] == "unmeasured":
+                print(f"  {name}: unmeasured")
+                continue
+            print(f"  {name}: {r['verdict']} (worse by {r['worse_by']:+.2%}, bound "
+                  f"{r['bound']:.0%}, parent spread {r['parent_spread']:.2%})")
         for name, m in {**entry["metrics"], **entry.get("per_layer", {}).get("metrics", {})}.items():
             ratio = m["change_over_parent"]
             p, c = (f"{v:.6g}" if v is not None else "none"
