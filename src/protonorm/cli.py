@@ -289,7 +289,7 @@ def cmd_eval(cfg, model_path, out):
             test = _load_finetune_test(cfg)
         else:
             _, _, test = _load_finetune_splits(cfg)
-        metrics = evaluate(encoder, test, cfg.finetune.batch_size)
+        metrics = evaluate(encoder, test)
         _write_json(os.path.join(run_dir, "metrics.json"), metrics.to_dict())
 
     return _finish_run(run_dir, body)

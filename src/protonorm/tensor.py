@@ -23,6 +23,9 @@ Conventions:
   * all data is float64 so finite-difference checks are trustworthy
   * randomness (dropout) always comes from an explicit numpy Generator
   * a recorded graph can be traversed once; a second backward raises
+  * an op never writes into an input array; a forward of several steps
+    (``linear``, ``layer_norm``, ``dropout``) writes its later steps in
+    place into arrays it allocated, in the textbook formula's IEEE order
 """
 
 from __future__ import annotations
@@ -325,7 +328,9 @@ def dropout(x, p, rng=None, train=False):
     def bwd(g):
         return (g * (keep / (1.0 - p)),)
 
-    return _make(x.data * (keep / (1.0 - p)), (x,), bwd)
+    data = keep / (1.0 - p)
+    data *= x.data
+    return _make(data, (x,), bwd)
 
 
 # -- linear algebra ------------------------------------------------------
@@ -370,7 +375,9 @@ def linear(x, w, b):
         dx = (g2 @ wd.T).reshape(*lead, k) if x_grad else None
         return dx, x2.T @ g2, g2.sum(axis=0)
 
-    return _make((x2 @ wd + b.data).reshape(*lead, n), (x, w, b), bwd)
+    data = x2 @ wd
+    data += b.data
+    return _make(data.reshape(*lead, n), (x, w, b), bwd)
 
 
 # -- reductions -----------------------------------------------------------
@@ -463,9 +470,11 @@ def layer_norm(x, idx, gamma, beta, eps):
     gh = g * gamma[idx]; the gamma and beta rows sum over their samples."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     idx = np.asarray(idx, dtype=np.int64)
-    centered = x.data - x.data.mean(-1, keepdims=True)
-    sigma = np.sqrt((centered * centered).mean(-1, keepdims=True) + eps)
-    xhat = centered / sigma
+    xhat = x.data - x.data.mean(-1, keepdims=True)
+    sigma = (xhat * xhat).mean(-1, keepdims=True)
+    sigma += eps
+    np.sqrt(sigma, out=sigma)
+    xhat /= sigma
     scale = gamma.data[idx][:, None, :]
     gshape, bshape = gamma.shape, beta.shape
 
@@ -478,7 +487,9 @@ def layer_norm(x, idx, gamma, beta, eps):
         np.add.at(dbeta, idx, g.sum(axis=1))
         return gx / sigma, dgamma, dbeta
 
-    return _make(scale * xhat + beta.data[idx][:, None, :], (x, gamma, beta), bwd)
+    data = scale * xhat
+    data += beta.data[idx][:, None, :]
+    return _make(data, (x, gamma, beta), bwd)
 
 
 # -- composite numerically stable ops ---------------------------------------

@@ -384,7 +384,10 @@ def _count_assignments(histograms, encoder):
 
 def evaluate(encoder, ds, batch_size=64):
     """Accuracy, macro-F1 and routing histograms of the classifier head on a
-    dataset, from this pass alone. The result is independent of batching."""
+    dataset, from this pass alone. ``batch_size`` is a throughput chunk
+    only: each series is scored and routed on its own, so the result does
+    not depend on it, and callers keep the default rather than pass a
+    training batch size."""
     if len(ds) == 0:
         raise InputError("cannot evaluate on an empty dataset")
     if encoder.classifier is None:
@@ -691,7 +694,7 @@ def finetune(
             if not np.array_equal(bank.P.data, before):
                 raise ContractError(f"frozen prototype bank {i} mutated during fine-tuning")
         if len(val_ds):
-            acc = evaluate(encoder, val_ds, batch_size).accuracy
+            acc = evaluate(encoder, val_ds).accuracy
             val_history.append((epoch, acc))
             if acc > best_acc:
                 best_acc = acc
@@ -705,5 +708,5 @@ def finetune(
     if best_params is not None:
         for k, t in all_params.items():
             t.data = best_params[k]
-    metrics = evaluate(encoder, test_ds, batch_size)
+    metrics = evaluate(encoder, test_ds)
     return FinetuneResult(encoder, metrics, rows, val_history, best_epoch)

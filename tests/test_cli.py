@@ -269,6 +269,37 @@ def test_eval_with_a_test_file_loads_only_that_file(tmp_path, monkeypatch):
     assert ev_metrics == json.loads(json.dumps(direct.to_dict()))
 
 
+def test_eval_scores_in_its_own_chunk_whatever_the_finetune_batch(tmp_path, monkeypatch):
+    """eval calls evaluate with its default chunk, not finetune.batch_size,
+    and one model.ckpt gives the same metrics.json under batch sizes 4 and 16."""
+    from protonorm import cli
+
+    cfg_path, out = _generate_then_pretrain(tmp_path)
+    ckpt = os.path.join(only_run_dir(out, "pretrain-"), "final.ckpt")
+    assert run(["finetune", ckpt, "--config", cfg_path, "--out", out]) == 0
+    model = os.path.join(only_run_dir(out, "finetune-"), "model.ckpt")
+
+    calls = []
+    real_evaluate = cli.evaluate
+
+    def recording_evaluate(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    written = []
+    for batch_size in (4, 16):
+        doc = json.loads(cfg_path.read_text())
+        doc["finetune"]["batch_size"] = batch_size
+        path = tmp_path / f"config_b{batch_size}.json"
+        path.write_text(json.dumps(doc))
+        ev_out = tmp_path / f"eval_b{batch_size}"
+        assert run(["eval", model, "--config", path, "--out", ev_out]) == 0
+        written.append(open(os.path.join(only_run_dir(ev_out, "eval-"), "metrics.json"), "rb").read())
+    assert calls == [(2, {}), (2, {})]
+    assert written[0] == written[1]
+
+
 def test_norm_mode_flag_flips_only_that_field(tmp_path):
     cfg_path = desk_config(tmp_path)
     a = load_run_config(cfg_path, flags={"norm_mode": "plain"})

@@ -442,3 +442,111 @@ def test_no_grad_suppresses_recording():
 def test_matmul_requires_2d():
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+
+
+# -- in-place forward arithmetic ---------------------------------------------
+#
+# ``linear``, ``layer_norm`` and ``dropout`` write each step of their formula
+# into the one output array they allocate. The references below are those
+# formulas written out of place, one temporary per step, so the forwards and
+# gradients must match them bit for bit, and the ops must leave every input
+# array as it was.
+
+LAYOUTS = ["single", "batch", "strided"]
+
+
+def _activation(rng, layout, t=5, d=6):
+    """An [B, T, d] array: B=1, B=4, or B=4 as a non-contiguous view."""
+    if layout == "single":
+        return rng.normal(size=(1, t, d))
+    if layout == "batch":
+        return rng.normal(size=(4, t, d))
+    x = rng.normal(size=(t, 4, d)).swapaxes(0, 1)
+    assert not x.flags.c_contiguous
+    return x
+
+
+def _run(op, x0, params, upstream):
+    """The op's output and the gradients a loss sum(out * upstream) sends to
+    x and to each parameter; checks that no input array changed."""
+    before = [a.copy() for a in (x0, *params)]
+    x = Tensor(x0, requires_grad=True)
+    ps = [Tensor(a, requires_grad=True) for a in params]
+    out = op(x, *ps)
+    data = out.data.copy()
+    (out * Tensor(upstream)).sum().backward()
+    for a, b in zip((x0, *params), before):
+        assert np.array_equal(a, b)
+    return data, [t.grad for t in (x, *ps)]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_linear_in_place_matches_the_out_of_place_formula(layout):
+    rng = np.random.default_rng(21)
+    x0 = _activation(rng, layout)
+    w0, b0 = rng.normal(size=(6, 3)), rng.normal(size=3)
+    g = rng.normal(size=(*x0.shape[:-1], 3))
+    out, (dx, dw, db) = _run(linear, x0, (w0, b0), g)
+
+    x2, g2 = x0.reshape(-1, 6), g.reshape(-1, 3)
+    assert np.array_equal(out, (x2 @ w0 + b0).reshape(g.shape))
+    assert np.array_equal(dx, (g2 @ w0.T).reshape(x0.shape))
+    assert np.array_equal(dw, x2.T @ g2)
+    assert np.array_equal(db, g2.sum(axis=0))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("mode", ["plain-LN", "dataset-indexed", "proto-gated"])
+def test_layer_norm_in_place_matches_the_out_of_place_formula(mode, layout):
+    from protonorm.norm import ProtoNormLayer
+
+    rng = np.random.default_rng(22)
+    x0 = _activation(rng, layout)
+    b = x0.shape[0]
+    layer = ProtoNormLayer.create(6, 3, mode, rng=np.random.default_rng(23))
+    gamma0 = rng.normal(size=layer.gamma.shape)
+    beta0 = rng.normal(size=layer.beta.shape)
+    ids = np.arange(b) % layer.n
+    if mode == "proto-gated" and b > 1:
+        # route the samples to different rows, so the gather is exercised
+        layer.bank.P.data[...] = x0.mean(axis=1)[:3]
+    idx, _ = layer.select_indices(x0, ids)
+    assert len(set(idx.tolist())) == min(b, layer.n)
+    eps = layer.epsilon
+    g = rng.normal(size=x0.shape)
+
+    def op(x, gamma, beta):
+        layer.gamma, layer.beta = gamma, beta
+        return layer.forward(x, dataset_ids=ids)
+
+    out, (dx, dgamma, dbeta) = _run(op, x0, (gamma0, beta0), g)
+
+    centered = x0 - x0.mean(-1, keepdims=True)
+    sigma = np.sqrt((centered * centered).mean(-1, keepdims=True) + eps)
+    xhat = centered / sigma
+    scale = gamma0[idx][:, None, :]
+    assert np.array_equal(out, scale * xhat + beta0[idx][:, None, :])
+    gh = g * scale
+    gx = gh - gh.mean(-1, keepdims=True) - xhat * (gh * xhat).mean(-1, keepdims=True)
+    assert np.array_equal(dx, gx / sigma)
+    want_gamma, want_beta = np.zeros_like(gamma0), np.zeros_like(beta0)
+    np.add.at(want_gamma, idx, (g * xhat).sum(axis=1))
+    np.add.at(want_beta, idx, g.sum(axis=1))
+    assert np.array_equal(dgamma, want_gamma)
+    assert np.array_equal(dbeta, want_beta)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_dropout_in_place_matches_the_out_of_place_formula(layout):
+    rng = np.random.default_rng(24)
+    x0 = _activation(rng, layout)
+    g = rng.normal(size=x0.shape)
+    p = 0.3
+    out, (dx,) = _run(
+        lambda x: dropout(x, p, np.random.default_rng(25), train=True), x0, (), g
+    )
+
+    keep = np.random.default_rng(25).random(x0.shape) >= p
+    assert 0 < keep.sum() < keep.size
+    assert np.array_equal(out, x0 * (keep / (1.0 - p)))
+    assert np.array_equal(dx, g * (keep / (1.0 - p)))

@@ -989,11 +989,16 @@ def test_evaluate_batch_size_invariance():
         n_labeled="all",
         seed=32,
     )
-    m1 = evaluate(result.encoder, splits[2], batch_size=1)
-    m64 = evaluate(result.encoder, splits[2], batch_size=64)
-    assert m1.accuracy == m64.accuracy
-    assert m1.macro_f1 == m64.macro_f1
-    assert np.array_equal(m1.confusion, m64.confusion)
+    test = splits[2]
+    ref = evaluate(result.encoder, test)
+    assert sum(ref.assignment_histograms["layer0"]) == len(test)
+    for chunk in (1, 7, 16, 64, len(test)):
+        m = evaluate(result.encoder, test, batch_size=chunk)
+        assert m.accuracy == ref.accuracy, chunk
+        assert m.macro_f1 == ref.macro_f1, chunk
+        assert np.array_equal(m.per_class_f1, ref.per_class_f1), chunk
+        assert np.array_equal(m.confusion, ref.confusion), chunk
+        assert m.assignment_histograms == ref.assignment_histograms, chunk
 
 
 def test_evaluate_rejects_empty_and_mismatched():
