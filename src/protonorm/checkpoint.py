@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import write_atomic
 from .encoder import Encoder, EncoderConfig
-from .errors import IntegrityError, VersionError
+from .errors import InputError, IntegrityError, VersionError
 from .training import RngStreams, TrainState
 
 __all__ = ["SCHEMA_VERSION", "load_checkpoint", "save_checkpoint"]
@@ -208,9 +208,13 @@ def load_checkpoint(path):
     digest before touching any payload; corrupt files never load
     partially. Every parameter array, and each optimizer moment pair,
     must name a parameter of the config-built encoder and have its shape.
+    A file that cannot be read is an ``InputError`` naming the path.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:
+        raise InputError(f"{path}: cannot read the checkpoint ({e.strerror or e})") from e
     try:
         sections = _read_sections(blob)
     except (IntegrityError, VersionError):

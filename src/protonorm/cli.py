@@ -19,6 +19,7 @@ import os
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -51,12 +52,6 @@ SWEEP_HEADER = ("axis", "value", "accuracy", "macro_f1", "param_count", "runtime
 SWEEP_AXES = {"n_prototypes": "prototypes", "lambda": "lambda_orth"}
 
 
-def _run_dir(out, command, cfg):
-    path = os.path.join(out, f"{command}-{cfg.digest()[:12]}-seed{cfg.seed}")
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _write_json(path, obj):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     write_atomic(path, text.encode("utf-8"))
@@ -69,21 +64,21 @@ def _write_status(run_dir, status, error=None):
     _write_json(os.path.join(run_dir, "status.json"), doc)
 
 
-def _start_run(out, command, cfg):
-    run_dir = _run_dir(out, command, cfg)
+@contextmanager
+def _run(out, command, cfg):
+    """The run directory of one command, named by the config digest and
+    seed: it is created with status ``running`` and the resolved config,
+    then marked ``failed`` with the error, which is re-raised, or ``ok``."""
+    run_dir = os.path.join(out, f"{command}-{cfg.digest()[:12]}-seed{cfg.seed}")
+    os.makedirs(run_dir, exist_ok=True)
     _write_status(run_dir, "running")
     _write_json(os.path.join(run_dir, "resolved_config.json"), cfg.resolved)
-    return run_dir
-
-
-def _finish_run(run_dir, body):
     try:
-        body()
+        yield run_dir
     except Exception as e:
         _write_status(run_dir, "failed", error=f"{type(e).__name__}: {e}")
         raise
     _write_status(run_dir, "ok")
-    return run_dir
 
 
 def _write_csv(path, header, rows):
@@ -171,70 +166,45 @@ def _load_finetune_splits(cfg):
 
 
 def cmd_generate(cfg, out):
-    run_dir = _start_run(out, "generate", cfg)
-
-    def body():
-        entries = []
-        next_id = 0
+    with _run(out, "generate", cfg) as run_dir:
+        generated = []  # (dataset, sigma)
         if cfg.data.synthetic is not None:
             syn = cfg.data.synthetic
-            rng = _derived_rng(cfg.seed, 10)
             clusters = make_synthetic_clusters(
                 syn.k_datasets,
                 syn.n_per,
                 syn.length,
-                rng,
+                _derived_rng(cfg.seed, 10),
                 offsets=syn.offsets,
                 noise_std=syn.noise_std,
                 freq_band=(syn.freq_lo, syn.freq_hi),
             )
-            for i, ds in enumerate(clusters):
-                fname = f"{ds.name}.tsv"
-                save_ucr_tsv(ds, os.path.join(run_dir, fname))
-                entries.append(
-                    {"name": ds.name, "file": fname, "dataset_id": next_id, "sigma": None}
-                )
-                next_id += 1
+            generated += [(ds, None) for ds in clusters]
         if cfg.data.source_path is not None:
             source = load_ucr_tsv(cfg.data.source_path, name="source")
-            fname = "source.tsv"
-            save_ucr_tsv(source, os.path.join(run_dir, fname))
-            entries.append(
-                {"name": "source", "file": fname, "dataset_id": next_id, "sigma": 0.0}
-            )
-            next_id += 1
+            generated.append((source, 0.0))
             for j, sigma in enumerate(cfg.data.sigmas):
                 rng = _derived_rng(cfg.seed, 11, j)
-                variant = make_shifted_variant(
-                    source, sigma, rng, name=f"source-n{j + 1}", dataset_id=next_id
-                )
-                fname = f"{variant.name}.tsv"
-                save_ucr_tsv(variant, os.path.join(run_dir, fname))
-                entries.append(
-                    {
-                        "name": variant.name,
-                        "file": fname,
-                        "dataset_id": next_id,
-                        "sigma": sigma,
-                    }
-                )
-                next_id += 1
-        if not entries:
+                variant = make_shifted_variant(source, sigma, rng, name=f"source-n{j + 1}")
+                generated.append((variant, sigma))
+        if not generated:
             raise ConfigError(
                 "generate needs data.synthetic and/or data.source_path in the config"
             )
+        entries = []
+        for i, (ds, sigma) in enumerate(generated):
+            fname = f"{ds.name}.tsv"
+            save_ucr_tsv(ds, os.path.join(run_dir, fname))
+            entries.append({"name": ds.name, "file": fname, "dataset_id": i, "sigma": sigma})
         _write_json(
             os.path.join(run_dir, "manifest.json"),
             {"seed": cfg.seed, "datasets": entries},
         )
-
-    return _finish_run(run_dir, body)
+    return run_dir
 
 
 def cmd_pretrain(cfg, out):
-    run_dir = _start_run(out, "pretrain", cfg)
-
-    def body():
+    with _run(out, "pretrain", cfg) as run_dir:
         train_pool, val_pool = _load_pretrain_pool(cfg)
         result = _pretrain(
             cfg, train_pool, val_pool, out_dir=run_dir, config_dict=cfg.resolved
@@ -257,33 +227,26 @@ def cmd_pretrain(cfg, out):
                 "final_checkpoint": result.final_checkpoint,
             },
         )
-
-    return _finish_run(run_dir, body)
+    return run_dir
 
 
 def cmd_finetune(cfg, checkpoint_path, out):
-    run_dir = _start_run(out, "finetune", cfg)
-
-    def body():
+    with _run(out, "finetune", cfg) as run_dir:
         encoder, _, _, _ = load_checkpoint(checkpoint_path)
         result = _finetune(cfg, encoder, _load_finetune_splits(cfg))
-        model_path = os.path.join(run_dir, "model.ckpt")
         save_checkpoint(
-            model_path,
+            os.path.join(run_dir, "model.ckpt"),
             result.encoder,
             TrainState(streams=RngStreams.from_seed(cfg.seed)),
             cfg.resolved,
         )
         doc = {**result.metrics.to_dict(), "best_epoch": result.best_epoch}
         _write_json(os.path.join(run_dir, "metrics.json"), doc)
-
-    return _finish_run(run_dir, body)
+    return run_dir
 
 
 def cmd_eval(cfg, model_path, out):
-    run_dir = _start_run(out, "eval", cfg)
-
-    def body():
+    with _run(out, "eval", cfg) as run_dir:
         encoder, _, _, _ = load_checkpoint(model_path)
         if cfg.data.finetune_test_path is not None:
             test = _load_finetune_test(cfg)
@@ -291,8 +254,7 @@ def cmd_eval(cfg, model_path, out):
             _, _, test = _load_finetune_splits(cfg)
         metrics = evaluate(encoder, test)
         _write_json(os.path.join(run_dir, "metrics.json"), metrics.to_dict())
-
-    return _finish_run(run_dir, body)
+    return run_dir
 
 
 def _leg_config(cfg, axis, value):
@@ -349,40 +311,20 @@ def _leg_configs(cfg, axis):
 
 def cmd_sweep(cfg, axis, out):
     legs = _leg_configs(cfg, axis)
-    run_dir = _start_run(out, f"sweep-{axis}", cfg)
-
-    def body():
+    with _run(out, f"sweep-{axis}", cfg) as run_dir:
         rows = []
         for value, leg_cfg in legs:
             started = time.monotonic()
             try:
                 metrics = _run_leg(leg_cfg, axis)
-                rows.append(
-                    [
-                        axis,
-                        value,
-                        repr(metrics.accuracy),
-                        repr(metrics.macro_f1),
-                        count_parameters(leg_cfg.encoder),
-                        f"{time.monotonic() - started:.3f}",
-                        "ok",
-                    ]
-                )
+                scores, status = [repr(metrics.accuracy), repr(metrics.macro_f1)], "ok"
             except Exception as e:  # a failed leg must not kill the sweep
-                rows.append(
-                    [
-                        axis,
-                        value,
-                        "",
-                        "",
-                        count_parameters(leg_cfg.encoder),
-                        f"{time.monotonic() - started:.3f}",
-                        f"failed: {type(e).__name__}: {e}",
-                    ]
-                )
+                scores, status = ["", ""], f"failed: {type(e).__name__}: {e}"
+            params = count_parameters(leg_cfg.encoder)
+            runtime = f"{time.monotonic() - started:.3f}"
+            rows.append([axis, value, *scores, params, runtime, status])
         _write_csv(os.path.join(run_dir, "sweep.csv"), SWEEP_HEADER, rows)
-
-    return _finish_run(run_dir, body)
+    return run_dir
 
 
 # -- argument parsing ---------------------------------------------------------

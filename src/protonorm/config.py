@@ -324,6 +324,10 @@ def load_run_config(path=None, flags=None, env=None):
                 doc = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except OSError as e:
+            raise ConfigError(f"config file {path} cannot be read ({e.strerror or e})")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {path} is not UTF-8 text ({e})")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(doc, dict):

@@ -90,16 +90,13 @@ class Batch:
     x: np.ndarray  # [B, C, L]
     labels: np.ndarray  # int64 [B]
     dataset_ids: np.ndarray  # int64 [B]
-    indices: np.ndarray  # positions within the pool
 
     def __len__(self):
         return self.x.shape[0]
 
     def __getitem__(self, sel):
         """The batch of the samples at positions ``sel`` of this one."""
-        return Batch(
-            self.x[sel], self.labels[sel], self.dataset_ids[sel], self.indices[sel]
-        )
+        return Batch(self.x[sel], self.labels[sel], self.dataset_ids[sel])
 
 
 def _parse_line(path, lineno, ln, width):
@@ -309,25 +306,22 @@ def make_synthetic_clusters(
     return out
 
 
-def batches(pool, batch_size, shuffle_rng=None):
-    """Iterate uniform batches over the union of all samples in the pool.
-
-    A shuffle generator permutes the union; without one, pool order is
-    kept. The final partial batch is emitted. Batches carry each sample's
-    dataset id (for dataset-indexed routing) and its position in the pool.
+def batches(pool, batch_size):
+    """Iterate batches of ``batch_size`` over the union of all samples in
+    the pool, in pool order; the final partial batch is emitted. Batches
+    carry each sample's dataset id (for dataset-indexed routing). Training
+    draws its shuffled epochs from ``training._epoch_batches`` instead.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     union = flatten_pool(pool)
-    n = len(union)
-    order = shuffle_rng.permutation(n) if shuffle_rng is not None else np.arange(n)
-    for start in range(0, n, batch_size):
-        yield union[order[start : start + batch_size]]
+    for start in range(0, len(union), batch_size):
+        yield union[start : start + batch_size]
 
 
 def flatten_pool(pool):
-    """The union of a pool as one Batch, in pool order, with ``indices``
-    its positions; the pool's datasets must all hold series of one shape."""
+    """The union of a pool as one Batch, in pool order; the pool's datasets
+    must all hold series of one shape."""
     datasets = [ds for ds in ([pool] if isinstance(pool, Dataset) else pool) if len(ds)]
     if not datasets:
         raise InputError("empty pool: no samples to batch")
@@ -340,7 +334,7 @@ def flatten_pool(pool):
     x = np.concatenate([ds.series for ds in datasets])
     labels = np.concatenate([ds.labels for ds in datasets])
     ids = np.repeat([ds.dataset_id for ds in datasets], [len(ds) for ds in datasets])
-    return Batch(x, labels, ids.astype(np.int64), np.arange(len(x)))
+    return Batch(x, labels, ids.astype(np.int64))
 
 
 def train_val_split(ds, val_fraction=0.2, rng=None):

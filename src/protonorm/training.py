@@ -165,6 +165,10 @@ def cosine_warmup_lr(step, cfg):
 # moments, the parameter and the two scratch buffers (6 x 128 KiB of
 # float64) stay in a core's L2 through all of its passes.
 ADAMW_CHUNK = 16384
+# nditer flags of those blocks: 1-D blocks of up to ADAMW_CHUNK entries;
+# an operand whose layout does not allow a view is copied into a buffer,
+# which is written back when the iterator moves on or closes.
+_BLOCKS = ["external_loop", "buffered", "zerosize_ok"]
 
 
 def adamw_step(params, state, lr, cfg):
@@ -182,11 +186,14 @@ def adamw_step(params, state, lr, cfg):
     The moments and parameters are updated in place, in the operation
     order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p = p*(1 - lr*wd) - lr*(m/c1) / (sqrt(v/c2) + eps). Every operation is
-    elementwise, so a parameter is walked in flat blocks of
-    ``ADAMW_CHUNK`` entries, and a block runs all of its about 15 passes,
-    through two scratch buffers of one block, while it is in cache: a
-    paper-scale parameter set is read from memory about once per step
-    instead of once per pass, with the same bits.
+    elementwise, so one ``np.nditer`` walks the gradient, both moments and
+    the parameter together in blocks of up to ``ADAMW_CHUNK`` entries, and
+    a block runs all of its about 15 passes, through two scratch buffers
+    of one block, while it is in cache: a paper-scale parameter set is
+    read from memory about once per step instead of once per pass, with
+    the same bits. A block of an array in any layout is a view of it or a
+    buffer that the iterator writes back, so every array is stepped in
+    place. The finiteness check walks each gradient in the same blocks.
     """
     stepped = {name: p for name, p in params.items() if p.grad is not None}
     finite = np.empty(ADAMW_CHUNK, dtype=bool)
@@ -197,9 +204,7 @@ def adamw_step(params, state, lr, cfg):
                 f"parameter {name!r} has shape {p.data.shape}, but its "
                 f"gradient and moments have shapes {shapes}"
             )
-        g = p.grad.reshape(-1)
-        for i in range(0, g.size, ADAMW_CHUNK):
-            block = g[i : i + ADAMW_CHUNK]
+        for block in np.nditer(p.grad, _BLOCKS, buffersize=ADAMW_CHUNK):
             if not np.isfinite(block, out=finite[: block.size]).all():
                 raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
     b1, b2 = cfg.betas
@@ -214,42 +219,24 @@ def adamw_step(params, state, lr, cfg):
         if name not in state.moments:
             state.moments[name] = [np.zeros(p.data.shape), np.zeros(p.data.shape)]
         m, v = state.moments[name]
-        n, shape = p.data.size, p.data.shape
-        if n <= ADAMW_CHUNK:
-            # One block: the arrays themselves, stepped in place whatever
-            # their layout.
-            written = owned = ()
-            s1, s2 = scratch1[:n].reshape(shape), scratch2[:n].reshape(shape)
-            blocks = [(p.grad, m, v, p.data, s1, s2)]
-        else:
-            # Flat blocks view an array only if it is C-contiguous, so any
-            # other is stepped as a contiguous copy and written back below.
-            written = (m, v, p.data)
-            owned = [a if a.flags.c_contiguous else a.copy() for a in written]
-            g, m, v, data = (a.reshape(-1) for a in (p.grad, *owned))
-            blocks = []
-            for i in range(0, n, ADAMW_CHUNK):
-                j = min(i + ADAMW_CHUNK, n)
-                s1, s2 = scratch1[: j - i], scratch2[: j - i]
-                blocks.append((g[i:j], m[i:j], v[i:j], data[i:j], s1, s2))
-        for gi, mi, vi, pi, s1, s2 in blocks:
-            mi *= b1
-            mi += np.multiply(a1, gi, out=s1)
-            vi *= b2
-            np.multiply(gi, gi, out=s2)
-            vi += np.multiply(a2, s2, out=s2)
-            if decay is not None:
-                pi *= decay
-            np.divide(mi, c1, out=s1)
-            s1 *= lr
-            np.divide(vi, c2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += eps
-            s1 /= s2
-            pi -= s1
-        for dst, src in zip(written, owned):
-            if src is not dst:
-                dst[...] = src
+        rw = [["readonly"]] + [["readwrite"]] * 3
+        with np.nditer([p.grad, m, v, p.data], _BLOCKS, rw, buffersize=ADAMW_CHUNK) as it:
+            for gi, mi, vi, pi in it:
+                s1, s2 = scratch1[: gi.size], scratch2[: gi.size]
+                mi *= b1
+                mi += np.multiply(a1, gi, out=s1)
+                vi *= b2
+                np.multiply(gi, gi, out=s2)
+                vi += np.multiply(a2, s2, out=s2)
+                if decay is not None:
+                    pi *= decay
+                np.divide(mi, c1, out=s1)
+                s1 *= lr
+                np.divide(vi, c2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += eps
+                s1 /= s2
+                pi -= s1
 
 
 def _step(loss, params, state, optim, phase):

@@ -119,17 +119,17 @@ def test_failed_generate_write_leaves_the_previous_source(tmp_path, monkeypatch)
     previous = b"0\t1.0\t2.0\n"  # an earlier, shorter source
     with open(source, "wb") as fh:
         fh.write(previous)
-    real_start = cli._start_run
+    real_load = cli.load_ucr_tsv
 
     def fail(fd):
         raise OSError("simulated fsync failure")
 
-    def start_then_fail_fsync(*args):
-        run_dir = real_start(*args)
+    def load_then_fail_fsync(*args, **kwargs):
+        ds = real_load(*args, **kwargs)
         monkeypatch.setattr(os, "fsync", fail)  # the status file is written by now
-        return run_dir
+        return ds
 
-    monkeypatch.setattr(cli, "_start_run", start_then_fail_fsync)
+    monkeypatch.setattr(cli, "load_ucr_tsv", load_then_fail_fsync)
     assert run(["generate", "--config", cfg, "--out", out]) == 1
     assert open(source, "rb").read() == previous
     assert not [f for f in os.listdir(os.path.dirname(source)) if f.endswith(".tmp")]
@@ -174,6 +174,39 @@ def test_unreadable_source_is_a_named_error(tmp_path, capsys, source):
     status = json.loads(open(os.path.join(only_run_dir(out, "generate-"), "status.json")).read())
     assert status["status"] == "failed"
     assert status["error"] == err[len("error: "):].rstrip("\n")
+
+
+@pytest.mark.parametrize("command", ["finetune", "eval"])
+@pytest.mark.parametrize("target", ["missing.ckpt", "directory"])
+def test_unreadable_checkpoint_is_a_named_error(tmp_path, capsys, command, target):
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    out = tmp_path / "runs"
+    assert run([command, path, "--config", desk_config(tmp_path), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InputError: {path}: cannot read the checkpoint ("), err
+    assert "Traceback" not in err
+    status = json.loads(open(os.path.join(only_run_dir(out, f"{command}-"), "status.json")).read())
+    assert status["status"] == "failed"
+    assert status["error"] == err[len("error: "):].rstrip("\n")
+
+
+@pytest.mark.parametrize("target", ["directory", "latin1.json"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, target):
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"seed": 3, "data": {"source_path": "caf\xe9.tsv"}}')
+    with pytest.raises(ConfigError, match=str(path)):
+        load_run_config(path, env={})
+    out = tmp_path / "runs"
+    assert run(["generate", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_pretrain_outputs_and_determinism(tmp_path):

@@ -9,8 +9,10 @@ from protonorm import (
     ConfigError,
     InputError,
     ParseError,
+    RngStreams,
     ShapeError,
     StandardizeSpec,
+    TrainState,
     batches,
     load_ucr_tsv,
     make_shifted_variant,
@@ -19,7 +21,8 @@ from protonorm import (
     standardize,
     train_val_split,
 )
-from protonorm.data import Dataset
+from protonorm.data import Dataset, flatten_pool
+from protonorm.training import _epoch_batches
 
 
 # -- loading ------------------------------------------------------------
@@ -419,18 +422,48 @@ def test_batches_partition_sizes():
     assert sizes == [3, 3, 3, 1]
 
 
+def _epoch(pool, batch_size, seed):
+    """The batches of one shuffled training epoch over ``pool``."""
+    state = TrainState(streams=RngStreams.from_seed(seed))
+    return list(_epoch_batches(flatten_pool(pool), state, batch_size))
+
+
+def _positions(x, series):
+    """The row of ``series`` that holds each sample of ``x``; the rows of
+    ``series`` must all differ."""
+    where = {s.tobytes(): i for i, s in enumerate(series)}
+    assert len(where) == len(series)
+    return [where[s.tobytes()] for s in x]
+
+
+def test_batches_yield_the_union_in_order():
+    pool = make_synthetic_clusters(3, 7, 16, np.random.default_rng(22))
+    got = list(batches(pool, 4))
+    assert [len(b) for b in got] == [4, 4, 4, 4, 4, 1]
+    for field, whole in (
+        ("x", np.concatenate([ds.series for ds in pool])),
+        ("labels", np.concatenate([ds.labels for ds in pool])),
+        ("dataset_ids", np.repeat([0, 1, 2], 7)),
+    ):
+        assert np.array_equal(np.concatenate([getattr(b, field) for b in got]), whole), field
+
+
 def test_batches_shuffle_deterministic():
+    """A training epoch takes the pool in the order that a copy of the
+    shuffle stream draws, final partial batch included."""
     pool = _pool()
-    a = [b.indices.tolist() for b in batches(pool, 4, np.random.default_rng(14))]
-    b = [b.indices.tolist() for b in batches(pool, 4, np.random.default_rng(14))]
-    assert a == b
+    union = flatten_pool(pool)
+    order = RngStreams.from_seed(14).shuffle.permutation(10)
+    got = [_positions(b.x, union.x) for b in _epoch(pool, 4, seed=14)]
+    assert got == [order[i : i + 4].tolist() for i in range(0, 10, 4)]
 
 
 def test_batches_cover_pool_exactly_once():
     pool = _pool()
+    union = flatten_pool(pool)
     seen = []
-    for b in batches(pool, 3, np.random.default_rng(15)):
-        seen.extend(b.indices.tolist())
+    for b in _epoch(pool, 3, seed=15):
+        seen.extend(_positions(b.x, union.x))
     assert sorted(seen) == list(range(10))
 
 
@@ -464,11 +497,12 @@ def test_batches_hold_the_pool_samples_at_their_indices():
     labels = np.concatenate([ds.labels for ds in pool])
     ids = np.repeat([ds.dataset_id for ds in pool], [len(ds) for ds in pool])
     seen = []
-    for b in batches(pool, 4, np.random.default_rng(21)):
-        assert np.array_equal(b.x, series[b.indices])
-        assert np.array_equal(b.labels, labels[b.indices])
-        assert np.array_equal(b.dataset_ids, ids[b.indices])
-        seen.extend(b.indices.tolist())
+    for b in _epoch(pool, 4, seed=21):
+        idx = _positions(b.x, series)
+        assert np.array_equal(b.x, series[idx])
+        assert np.array_equal(b.labels, labels[idx])
+        assert np.array_equal(b.dataset_ids, ids[idx])
+        seen.extend(idx)
     assert sorted(seen) == list(range(21)) and seen != list(range(21))
 
 

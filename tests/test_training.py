@@ -37,7 +37,7 @@ from protonorm import (
     stratified_subset,
     train_val_split,
 )
-from protonorm.data import batches
+from protonorm.data import batches, flatten_pool
 from protonorm.training import ADAMW_CHUNK
 
 
@@ -230,40 +230,44 @@ def test_adamw_blocks_equal_the_out_of_place_formula(wd):
 
 
 def test_adamw_inf_in_the_last_block_leaves_everything_untouched():
-    """A non-finite entry in the last block of the second parameter
-    raises before the first parameter, any moment or the step count
-    changes."""
-    rng = np.random.default_rng(7)
-    params = {n: Tensor(rng.normal(size=(3, 7001)), requires_grad=True) for n in "ab"}
-    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
-    state = TrainState(streams=RngStreams.from_seed(0))
-    for p in params.values():
-        p.grad = rng.normal(size=p.shape)
-    adamw_step(params, state, 1e-2, cfg)
-    for p in params.values():
-        p.grad = rng.normal(size=p.shape)
-    params["b"].grad[2, -1] = np.inf
-    assert ADAMW_CHUNK < params["b"].grad.size <= 2 * ADAMW_CHUNK  # the second, last block
-    data = {n: p.data.copy() for n, p in params.items()}
-    moments = {n: [m.copy(), v.copy()] for n, (m, v) in state.moments.items()}
-    with pytest.raises(TrainingDiverged, match="'b'"):
+    """A non-finite entry in the last block of the second parameter's
+    gradient, C-ordered or transposed, raises before the first parameter,
+    any moment or the step count changes."""
+    for transposed in (False, True):
+        rng = np.random.default_rng(7)
+        params = {n: Tensor(rng.normal(size=(3, 7001)), requires_grad=True) for n in "ab"}
+        cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
+        state = TrainState(streams=RngStreams.from_seed(0))
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
         adamw_step(params, state, 1e-2, cfg)
-    assert state.step == 1
-    for n, p in params.items():
-        assert np.array_equal(p.data, data[n])
-        assert all(np.array_equal(a, b) for a, b in zip(state.moments[n], moments[n]))
+        for p in params.values():
+            p.grad = rng.normal(size=(7001, 3)).T if transposed else rng.normal(size=p.shape)
+        params["b"].grad[2, -1] = np.inf
+        assert params["b"].grad.flags.c_contiguous is not transposed
+        assert ADAMW_CHUNK < params["b"].grad.size <= 2 * ADAMW_CHUNK  # the second, last block
+        data = {n: p.data.copy() for n, p in params.items()}
+        moments = {n: [m.copy(), v.copy()] for n, (m, v) in state.moments.items()}
+        with pytest.raises(TrainingDiverged, match="'b'"):
+            adamw_step(params, state, 1e-2, cfg)
+        assert state.step == 1
+        for n, p in params.items():
+            assert np.array_equal(p.data, data[n])
+            assert all(np.array_equal(a, b) for a, b in zip(state.moments[n], moments[n]))
 
 
 def test_adamw_steps_arrays_that_are_not_c_contiguous_in_place():
-    """A transposed parameter, or moment, larger than one block has flat
-    blocks that view a copy; the step still lands in the array itself."""
+    """A transposed parameter, or moment, and a Fortran-order gradient are
+    stepped in blocks that the iterator buffers where a block cannot view
+    the array; the step still lands in the array itself."""
     rng = np.random.default_rng(8)
     params = {
         "wide_t": Tensor(rng.normal(size=(300, 200)).T, requires_grad=True),
         "small_t": Tensor(rng.normal(size=(6, 4)).T, requires_grad=True),
+        "fortran_grad": Tensor(rng.normal(size=(150, 250)), requires_grad=True),
     }
     arrays = {n: p.data for n, p in params.items()}
-    assert not any(a.flags.c_contiguous for a in arrays.values())
+    assert not any(a.flags.c_contiguous for n, a in arrays.items() if n != "fortran_grad")
     ref = {n: p.data.copy() for n, p in params.items()}
     moments = {n: [0.0, 0.0] for n in params}
     cfg = OptimConfig(weight_decay=0.05, warmup_steps=0, total_steps=1)
@@ -271,6 +275,8 @@ def test_adamw_steps_arrays_that_are_not_c_contiguous_in_place():
     for t in range(1, 4):
         for p in params.values():
             p.grad = rng.normal(size=p.shape)
+        params["fortran_grad"].grad = np.asfortranarray(params["fortran_grad"].grad)
+        assert not params["fortran_grad"].grad.flags.c_contiguous
         adamw_step(params, state, 1e-2, cfg)
         _out_of_place_adamw(ref, moments, params, 1e-2, t, cfg)
         if t == 1:
@@ -950,8 +956,8 @@ def test_finetune_divergence_names_the_step_and_changes_nothing(monkeypatch):
 
 
 def test_finetune_visits_its_subset_in_the_order_batches_draws():
-    """Each epoch takes the labeled subset in the order that ``batches``
-    gives on a copy of the same shuffle stream, final partial batch
+    """Each epoch takes the labeled subset in the order that a copy of the
+    same shuffle stream draws, in batches of 8, final partial batch
     included."""
     cfg, enc, streams = desk_encoder(seed=40)
     splits = separable_task(seed=41)
@@ -970,7 +976,11 @@ def test_finetune_visits_its_subset_in_the_order_batches_draws():
     )
     copy = RngStreams.from_seed(40)
     subset = stratified_subset(splits[0], 19, copy.subset)
-    expected = [b.x for _ in range(3) for b in batches(subset, 8, shuffle_rng=copy.shuffle)]
+    union = flatten_pool(subset).x
+    expected = []
+    for _ in range(3):
+        order = copy.shuffle.permutation(19)
+        expected += [union[order[i : i + 8]] for i in range(0, 19, 8)]
     assert [len(x) for x in seen] == [8, 8, 3] * 3
     assert len(seen) == len(expected)
     for got, want in zip(seen, expected):
