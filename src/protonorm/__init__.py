@@ -12,13 +12,11 @@ from .contrastive import AugmentConfig, NtXentConfig, augment_pair, nt_xent, tot
 from .data import (
     Batch,
     Dataset,
-    StandardizeSpec,
     batches,
     load_ucr_tsv,
     make_shifted_variant,
     make_synthetic_clusters,
     save_ucr_tsv,
-    standardize,
     standardize_dataset,
     train_val_split,
 )

@@ -3,10 +3,12 @@
 Subcommands: generate, pretrain, finetune, eval, sweep. Every command
 resolves one RunConfig (file + env + flags), works inside a run directory
 named by the config digest and seed, writes the exact resolved config
-next to its outputs, and keeps a status file (running / ok / failed) so
-interrupted runs are visibly flagged. Re-running a command with the same
-config and seed reproduces its deterministic outputs byte for byte (the
-sweep's runtime column is the one timed, hence non-deterministic, field).
+next to its outputs, and keeps a status file (running / ok / failed /
+interrupted) so a run that did not finish is visibly flagged; Ctrl-C ends
+any command with one ``interrupted`` line and exit status 130. Re-running
+a command with the same config and seed reproduces its deterministic
+outputs byte for byte (the sweep's runtime column is the one timed, hence
+non-deterministic, field).
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def _write_status(run_dir, status, error=None):
 def _run(out, command, cfg):
     """The run directory of one command, named by the config digest and
     seed: it is created with status ``running`` and the resolved config,
-    then marked ``failed`` with the error, which is re-raised, or ``ok``."""
+    then marked ``failed`` with the error or ``interrupted`` by Ctrl-C,
+    either re-raised, or ``ok``."""
     run_dir = os.path.join(out, f"{command}-{cfg.digest()[:12]}-seed{cfg.seed}")
     os.makedirs(run_dir, exist_ok=True)
     _write_status(run_dir, "running")
@@ -77,6 +80,9 @@ def _run(out, command, cfg):
         yield run_dir
     except Exception as e:
         _write_status(run_dir, "failed", error=f"{type(e).__name__}: {e}")
+        raise
+    except KeyboardInterrupt:
+        _write_status(run_dir, "interrupted")
         raise
     _write_status(run_dir, "ok")
 
@@ -126,12 +132,10 @@ def _finetune(cfg, encoder, splits):
 def _load_pretrain_pool(cfg):
     if not cfg.data.pretrain_paths:
         raise ConfigError("data.pretrain_paths is empty; nothing to pretrain on")
-    std_rng = _derived_rng(cfg.seed, 1)
     split_rng = _derived_rng(cfg.seed, 2)
     train_pool, val_pool = [], []
     for i, path in enumerate(cfg.data.pretrain_paths):
-        ds = load_ucr_tsv(path, dataset_id=i)
-        ds = standardize_dataset(ds, cfg.standardize, std_rng)
+        ds = standardize_dataset(load_ucr_tsv(path, dataset_id=i), cfg.encoder.input_len)
         tr, va = train_val_split(ds, cfg.data.val_fraction, split_rng)
         train_pool.append(tr)
         if len(va):
@@ -140,19 +144,17 @@ def _load_pretrain_pool(cfg):
 
 
 def _load_finetune_test(cfg):
-    """The fine-tuning test file, standardized on a stream of its own, so
-    ``finetune`` and ``eval`` read it alike without the train file."""
+    """The fine-tuning test file, standardized alone, so ``finetune`` and
+    ``eval`` read it alike without the train file."""
     test = load_ucr_tsv(cfg.data.finetune_test_path, split="test")
-    return standardize_dataset(test, cfg.standardize, _derived_rng(cfg.seed, 5))
+    return standardize_dataset(test, cfg.encoder.input_len)
 
 
 def _load_finetune_splits(cfg):
     if cfg.data.finetune_train_path is None:
         raise ConfigError("data.finetune_train_path is required for this command")
-    std_rng = _derived_rng(cfg.seed, 3)
     split_rng = _derived_rng(cfg.seed, 4)
-    train = load_ucr_tsv(cfg.data.finetune_train_path)
-    train = standardize_dataset(train, cfg.standardize, std_rng)
+    train = standardize_dataset(load_ucr_tsv(cfg.data.finetune_train_path), cfg.encoder.input_len)
     if cfg.data.finetune_test_path is not None:
         test = _load_finetune_test(cfg)
     else:
@@ -175,7 +177,6 @@ def cmd_generate(cfg, out):
                 syn.n_per,
                 syn.length,
                 _derived_rng(cfg.seed, 10),
-                offsets=syn.offsets,
                 noise_std=syn.noise_std,
                 freq_band=(syn.freq_lo, syn.freq_hi),
             )
@@ -271,9 +272,8 @@ def _run_leg(leg_cfg, axis):
     if axis == "sigma":
         if leg_cfg.data.source_path is None:
             raise ConfigError("sigma sweep needs data.source_path")
-        std_rng = _derived_rng(leg_cfg.seed, 1)
         source = load_ucr_tsv(leg_cfg.data.source_path, name="source", dataset_id=0)
-        source = standardize_dataset(source, leg_cfg.standardize, std_rng)
+        source = standardize_dataset(source, leg_cfg.encoder.input_len)
         split_rng = _derived_rng(leg_cfg.seed, 2)
         src_train, src_test = train_val_split(
             source, leg_cfg.data.test_fraction, split_rng
@@ -405,6 +405,9 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except ProtoNormError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

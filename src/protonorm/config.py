@@ -5,7 +5,10 @@ rejected. A handful of frequently swept fields can be overridden by
 environment variables (``PROTONORM_*``) and command-line flags, with
 precedence flag > env > file > defaults. The fully resolved document is
 what gets digested into run-directory names and persisted next to every
-run's outputs, so any run can be replayed exactly.
+run's outputs, so any run can be replayed exactly. The encoder section
+alone fixes the input shape: every series is brought to
+``encoder.input_len``, and ``encoder.channels`` must be 1, since data
+files hold univariate series.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import typing
 from dataclasses import asdict, dataclass
 
 from .contrastive import AugmentConfig, NtXentConfig
-from .data import StandardizeSpec
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .training import OptimConfig
@@ -118,7 +120,6 @@ class SyntheticConfig:
     k_datasets: int = 2
     n_per: int = 200
     length: int | None = None  # falls back to encoder.input_len
-    offsets: tuple[float, ...] | None = None
     noise_std: float = 0.1
     freq_lo: float = 2.0
     freq_hi: float = 8.0
@@ -135,11 +136,6 @@ class SyntheticConfig:
         if not self.freq_lo <= self.freq_hi:
             raise ConfigError(
                 f"data.synthetic.freq_lo {self.freq_lo} exceeds freq_hi {self.freq_hi}"
-            )
-        if self.offsets is not None and len(self.offsets) != self.k_datasets:
-            raise ConfigError(
-                f"data.synthetic.offsets has {len(self.offsets)} entries for "
-                f"k_datasets={self.k_datasets}"
             )
 
 
@@ -198,7 +194,6 @@ SECTIONS = {
     "augment": AugmentConfig,
     "ntxent": NtXentConfig,
     "optim": OptimConfig,
-    "standardize": StandardizeSpec,
     "data": DataConfig,
     "pretrain": PhaseConfig,
     "finetune": FinetunePhaseConfig,
@@ -206,12 +201,7 @@ SECTIONS = {
 
 DEFAULTS = {
     "seed": 0,
-    **{name: asdict(cls()) for name, cls in SECTIONS.items() if cls is not StandardizeSpec},
-    "standardize": {
-        "target_len": None,  # falls back to encoder.input_len
-        "target_channels": None,  # falls back to encoder.channels
-        "replication_noise_std": StandardizeSpec.replication_noise_std,
-    },
+    **{name: asdict(cls()) for name, cls in SECTIONS.items()},
     "freeze_prototypes": False,
     "sweep": {
         "n_prototypes": [4, 8, 16, 32, 64],
@@ -228,7 +218,6 @@ class RunConfig:
     augment: AugmentConfig
     ntxent: NtXentConfig
     optim: OptimConfig
-    standardize: StandardizeSpec
     data: DataConfig
     pretrain: PhaseConfig
     finetune: FinetunePhaseConfig
@@ -292,19 +281,22 @@ def build_run_config(resolved):
     _check_type("encoder.norm_mode", enc["norm_mode"], str)
     enc["norm_mode"] = resolve_norm_mode(enc["norm_mode"])
     docs = {name: dict(resolved[name]) for name in SECTIONS}
-    std, data = docs["standardize"], docs["data"]
-    for key, fallback in (("target_len", "input_len"), ("target_channels", "channels")):
-        if std[key] is None:
-            std[key] = enc[fallback]
+    data = docs["data"]
     if data["synthetic"] is not None:
         _check_type("data.synthetic", data["synthetic"], dict)
         syn = _merge(asdict(SyntheticConfig()), data["synthetic"], "data.synthetic")
         if syn["length"] is None:
             syn["length"] = enc["input_len"]
         data["synthetic"] = _section("data.synthetic", SyntheticConfig, syn)
+    sections = {name: _section(name, cls, docs[name]) for name, cls in SECTIONS.items()}
+    if sections["encoder"].channels != 1:
+        raise ConfigError(
+            f"encoder.channels must be 1, got {sections['encoder'].channels}: "
+            f"data files hold univariate series"
+        )
     return RunConfig(
         seed=resolved["seed"],
-        **{name: _section(name, cls, docs[name]) for name, cls in SECTIONS.items()},
+        **sections,
         freeze_prototypes=resolved["freeze_prototypes"],
         sweep=resolved["sweep"],
         resolved=resolved,

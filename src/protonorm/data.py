@@ -1,4 +1,5 @@
-"""Dataset ingestion, standardization, synthetic generation, and batching.
+"""Dataset ingestion, length standardization, synthetic generation, and
+batching.
 
 The on-disk format is one sample per line: an integer class label followed
 by the flattened series values, separated by tabs or commas (auto-detected
@@ -8,9 +9,11 @@ converts every string with Python's ``float()``; blank fields are dropped
 only on a line where that call fails. Each row's label and values are
 checked as it is parsed, so the first bad line is the one named; the
 dense 0-based relabelling and the per-series z-score then run as array
-operations over the whole ``[N, 1+L]`` table.
-In memory a dataset's series are one float64 ``[N, C, L]`` array, a pool
-is one ``Batch`` of its samples, and a batch is that ``Batch`` indexed.
+operations over the whole ``[N, 1+L]`` table. A file holds univariate
+series, and ``standardize_dataset`` brings a whole dataset to the length
+the encoder's config fixes. In memory a dataset's series are one float64
+``[N, C, L]`` array, a pool is one ``Batch`` of its samples, and a batch is
+that ``Batch`` indexed.
 """
 
 from __future__ import annotations
@@ -25,13 +28,11 @@ from .errors import ConfigError, InputError, ParseError, ShapeError
 __all__ = [
     "Batch",
     "Dataset",
-    "StandardizeSpec",
     "batches",
     "load_ucr_tsv",
     "make_shifted_variant",
     "make_synthetic_clusters",
     "save_ucr_tsv",
-    "standardize",
     "standardize_dataset",
     "train_val_split",
     "write_atomic",
@@ -72,17 +73,6 @@ class Dataset:
     @property
     def shape(self):
         return self.series.shape[1:] if len(self) else None
-
-
-@dataclass
-class StandardizeSpec:
-    target_len: int
-    target_channels: int = 1
-    replication_noise_std: float = 0.01
-
-    def __post_init__(self):
-        if self.target_len < 1 or self.target_channels < 1:
-            raise ConfigError("target_len and target_channels must be positive")
 
 
 @dataclass
@@ -194,50 +184,24 @@ def save_ucr_tsv(ds, path, delimiter="\t"):
     write_atomic(path, "".join(lines).encode("utf-8"))
 
 
-def standardize(sample, spec, rng=None):
-    """Bring one [C, L] sample to [target_channels, target_len].
-
-    Longer series are linearly interpolated down (position k maps to
-    k*(L-1)/(target-1)); shorter ones are zero-padded at the tail. Missing
-    channels are replicated cyclically with Gaussian noise added to the
-    copies only. Already-conforming samples pass through unchanged.
-    """
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"standardize expects [C, L], got {x.shape}")
-    c, length = x.shape
-    if c > spec.target_channels:
-        raise ConfigError(
-            f"sample has {c} channels but target is {spec.target_channels}; "
-            f"no channel-dropping policy exists"
-        )
-    if c == spec.target_channels and length == spec.target_len:
-        return x
-
-    if length > spec.target_len:
-        if spec.target_len == 1:
-            x = x[:, :1]
-        else:
-            grid = np.linspace(0.0, length - 1.0, spec.target_len)
-            x = np.stack([np.interp(grid, np.arange(length), row) for row in x])
-    elif length < spec.target_len:
-        x = np.concatenate([x, np.zeros((c, spec.target_len - length))], axis=1)
-
-    if c < spec.target_channels:
-        if rng is None and spec.replication_noise_std > 0.0:
-            raise InputError("channel replication with noise needs an rng")
-        extra = []
-        for j in range(c, spec.target_channels):
-            copy = x[j % c].copy()
-            if spec.replication_noise_std > 0.0:
-                copy = copy + rng.normal(0.0, spec.replication_noise_std, copy.shape)
-            extra.append(copy)
-        x = np.concatenate([x, np.stack(extra)], axis=0)
-    return x
-
-
-def standardize_dataset(ds, spec, rng=None):
-    series = [standardize(s, spec, rng) for s in ds.series]
+def standardize_dataset(ds, target_len):
+    """The dataset with every series brought to ``target_len`` samples, the
+    encoder's ``input_len``. A longer series is linearly interpolated down
+    (position k maps to k*(L-1)/(target_len-1); a target of 1 keeps the
+    first sample), and a shorter one is zero-padded at the tail. A dataset
+    already ``target_len`` long is returned as it is."""
+    n, c, length = ds.series.shape
+    if length == target_len:
+        return ds
+    if length < target_len:
+        series = np.concatenate([ds.series, np.zeros((n, c, target_len - length))], axis=2)
+    elif target_len == 1:
+        series = ds.series[:, :, :1]
+    else:
+        grid = np.linspace(0.0, length - 1.0, target_len)
+        rows = ds.series.reshape(-1, length)
+        series = np.array([np.interp(grid, np.arange(length), row) for row in rows])
+        series = series.reshape(n, c, target_len)
     return replace(ds, series=series)
 
 

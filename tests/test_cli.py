@@ -7,10 +7,15 @@ import shutil
 import numpy as np
 import pytest
 
-from protonorm import evaluate, load_checkpoint, load_ucr_tsv
+from protonorm import (
+    evaluate,
+    load_checkpoint,
+    load_ucr_tsv,
+    make_synthetic_clusters,
+    save_ucr_tsv,
+)
 from protonorm.cli import main
 from protonorm.config import load_run_config
-from protonorm.data import standardize_dataset
 from protonorm.encoder import count_parameters
 from protonorm.errors import ConfigError
 
@@ -151,6 +156,63 @@ def _generate_then_pretrain(tmp_path, extra_flags=()):
     code = run(["pretrain", "--config", cfg_path, "--out", out, *extra_flags])
     assert code == 0
     return cfg_path, out
+
+
+def test_pretrain_pool_of_three_lengths_is_brought_to_input_len(tmp_path):
+    """Files of 24, 32 and 48 samples pool for an encoder of input_len 32:
+    the short one zero-padded, the conforming one as loaded, the long one
+    interpolated row by row."""
+    from protonorm.cli import _load_pretrain_pool
+
+    paths = []
+    for k, length in enumerate((24, 32, 48)):
+        (ds,) = make_synthetic_clusters(1, 16, length, np.random.default_rng(30 + k))
+        paths.append(str(tmp_path / f"len{length}.tsv"))
+        save_ucr_tsv(ds, paths[-1])
+    doc = json.loads(desk_config(tmp_path, pretrain_paths=paths, val_fraction=0.0).read_text())
+    doc["data"]["synthetic"] = None
+    cfg_path = tmp_path / "pool.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "runs"
+    assert run(["pretrain", "--config", cfg_path, "--out", out]) == 0
+    run_dir = only_run_dir(out, "pretrain-")
+    assert json.loads(open(os.path.join(run_dir, "status.json")).read()) == {"status": "ok"}
+
+    pool, val_pool = _load_pretrain_pool(load_run_config(cfg_path, env={}))
+    assert val_pool is None
+    short, same, long = (load_ucr_tsv(p).series for p in paths)
+    grid = np.linspace(0.0, 47.0, 32)
+    expected = [
+        np.concatenate([short, np.zeros((16, 1, 8))], axis=2),
+        same,
+        np.array([np.interp(grid, np.arange(48), row[0]) for row in long])[:, None, :],
+    ]
+    for ds, want in zip(pool, expected):
+        assert ds.series.shape == (16, 1, 32)
+        assert sorted(r.tobytes() for r in ds.series) == sorted(r.tobytes() for r in want)
+
+
+def test_ctrl_c_marks_the_run_interrupted_without_a_traceback(tmp_path, capsys, monkeypatch):
+    import protonorm.training as training
+
+    real_step = training._step
+    steps = []
+
+    def step_then_interrupt(*args, **kwargs):
+        steps.append(None)
+        if len(steps) == 3:
+            raise KeyboardInterrupt
+        return real_step(*args, **kwargs)
+
+    cfg_path, out = _generate_then_pretrain(tmp_path)
+    run_dir = only_run_dir(out, "pretrain-")
+    capsys.readouterr()
+    monkeypatch.setattr(training, "_step", step_then_interrupt)
+    assert run(["pretrain", "--config", cfg_path, "--out", out]) == 130
+    assert len(steps) == 3
+    assert capsys.readouterr().err == "interrupted\n"
+    status = json.loads(open(os.path.join(run_dir, "status.json")).read())
+    assert status == {"status": "interrupted"}
 
 
 @pytest.mark.parametrize("source", ["missing.tsv", "directory", "latin1.tsv"])

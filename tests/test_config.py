@@ -42,10 +42,10 @@ def _desk_doc(tmp_path):
 @pytest.mark.parametrize(
     "doc, digest",
     [
-        ({}, "999a5e873dece800c5a36bb8fc3f370a1ed087d38ad0e734cae9440399809bd1"),
-        (SHIFT_PIPELINE, "7ca619b4fcc379d7eca1a97e0ad3fd667c5c78900ce930087eff49558713baa9"),
-        ("desk", "bb526b0c084d421c429cc7660532f700fb38187927fa289dc9dfd7164389e45d"),
-        (PLAIN_WITH_LISTS, "a151d678ae40f40932ba1be8815070daa3690405f574e9e72ceebcaecd3a5b7f"),
+        ({}, "f790eef3b83a7aaca1369f60f8134324d6c2e9984f07710e0e6cbce4b02d9727"),
+        (SHIFT_PIPELINE, "a8f7b5010ad31c8e86caf1de79720defd15c03fadf9248d94cf0690c3289a7ed"),
+        ("desk", "72578b99257b8bdbc43b19e1121a5b7c6ec4c80980dbe48eab8018b6d60fbe05"),
+        (PLAIN_WITH_LISTS, "5268daa755487c217108caeea1c600d9f571d22809db24426d8e264fc96f9289"),
     ],
     ids=["empty", "shift-pipeline", "desk", "plain-with-lists"],
 )
@@ -65,7 +65,6 @@ BAD_TYPES = [
     ({"optim": {"betas": 0.9}}, "optim.betas"),
     ({"finetune": {"n_labeled": 100.0}}, "finetune.n_labeled"),
     ({"data": {"finetune_train_path": 3}}, "data.finetune_train_path"),
-    ({"standardize": {"target_len": 32.0}}, "standardize.target_len"),
     ({"seed": 1.5}, "seed"),
     ({"freeze_prototypes": "false"}, "freeze_prototypes"),
     ({"optim": 1e-3}, "optim"),
@@ -106,7 +105,7 @@ def test_wrongly_typed_value_is_a_config_error(tmp_path, capsys, bad, key):
         {"optim": {"lr_peak": 1}},
         {"finetune": {"n_labeled": 8}},
         {"data": {"finetune_test_path": None}},
-        {"standardize": {"target_len": 32}},
+        {"encoder": {"channels": 1}},
         {"freeze_prototypes": True},
     ],
 )
@@ -126,7 +125,6 @@ BAD_RANGES = [
     ({"length": 0}, "data.synthetic.length"),
     ({"noise_std": -0.1}, "data.synthetic.noise_std"),
     ({"freq_lo": 9.0, "freq_hi": 8.0}, "data.synthetic.freq_lo"),
-    ({"k_datasets": 3, "offsets": [0.0, 1.0]}, "data.synthetic.offsets"),
 ]
 
 
@@ -139,6 +137,37 @@ def test_out_of_range_synthetic_value_is_a_config_error(tmp_path, capsys, bad, k
     out = tmp_path / "runs"
     assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} "), key
+    assert not out.exists()
+
+
+# Keys a run document does not take: the encoder fixes the input shape, and the
+# loader's z-score leaves nothing of a per-dataset offset.
+REMOVED_KEYS = [
+    ({"standardize": {"target_len": 32}}, "standardize"),
+    ({"data": {"synthetic": {"k_datasets": 2, "offsets": [-5.0, 5.0]}}}, "data.synthetic.offsets"),
+]
+
+
+@pytest.mark.parametrize("bad, key", REMOVED_KEYS, ids=[key for _, key in REMOVED_KEYS])
+def test_removed_key_is_refused_as_unknown(tmp_path, capsys, bad, key):
+    path = _write(tmp_path, _with(_desk_doc(tmp_path), bad), "bad.json")
+    with pytest.raises(ConfigError, match=f"^unknown config key {re.escape(repr(key))}$"):
+        load_run_config(path, env={})
+    out = tmp_path / "runs"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown config key {key!r}\n"
+    assert not out.exists()
+
+
+def test_multichannel_encoder_is_a_config_error(tmp_path, capsys):
+    """Data files hold univariate series, so an encoder of 2 channels is
+    refused before any run directory exists."""
+    path = _write(tmp_path, _with(_desk_doc(tmp_path), {"encoder": {"channels": 2}}), "bad.json")
+    with pytest.raises(ConfigError, match="^encoder.channels must be 1, got 2"):
+        load_run_config(path, env={})
+    out = tmp_path / "runs"
+    assert main(["pretrain", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: encoder.channels must be 1")
     assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""Data pipeline: parsing, standardization, synthetic generation, batching."""
+"""Data pipeline: parsing, length standardization, synthetic generation, batching."""
 
 import re
 
@@ -11,14 +11,13 @@ from protonorm import (
     ParseError,
     RngStreams,
     ShapeError,
-    StandardizeSpec,
     TrainState,
     batches,
     load_ucr_tsv,
     make_shifted_variant,
     make_synthetic_clusters,
     save_ucr_tsv,
-    standardize,
+    standardize_dataset,
     train_val_split,
 )
 from protonorm.data import Dataset, flatten_pool
@@ -290,57 +289,51 @@ def test_load_matches_the_per_line_reference(tmp_path, case):
 # -- standardize ---------------------------------------------------------
 
 
+def _dataset(series):
+    return Dataset(name="d", series=series, labels=np.zeros(len(series), dtype=np.int64))
+
+
 def test_standardize_identity_case():
-    spec = StandardizeSpec(target_len=8, target_channels=2, replication_noise_std=0.0)
-    x = np.arange(16.0).reshape(2, 8)
-    assert np.array_equal(standardize(x, spec), x)
+    ds = _dataset(np.arange(24.0).reshape(3, 1, 8))
+    assert standardize_dataset(ds, 8) is ds
 
 
 def test_standardize_pads_with_exact_zeros():
-    spec = StandardizeSpec(target_len=8, target_channels=1)
-    out = standardize(np.ones((1, 4)), spec)
-    assert np.array_equal(out[0, 4:], np.zeros(4))
-    assert np.array_equal(out[0, :4], np.ones(4))
+    out = standardize_dataset(_dataset(np.ones((2, 1, 4))), 8).series
+    assert out.shape == (2, 1, 8)
+    assert np.array_equal(out[:, 0, 4:], np.zeros((2, 4)))
+    assert np.array_equal(out[:, 0, :4], np.ones((2, 4)))
 
 
 def test_standardize_downsample_matches_independent_interpolation():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(1, 1024))
-    spec = StandardizeSpec(target_len=512, target_channels=1)
-    out = standardize(x, spec)
+    x = rng.normal(size=(1, 1, 1024))
+    out = standardize_dataset(_dataset(x), 512).series
+    assert out.shape == (1, 1, 512)
     # independent oracle: evaluate the piecewise-linear interpolant by hand
     for k in range(0, 512, 37):
         pos = k * (1023.0 / 511.0)
         lo = int(np.floor(pos))
         hi = min(lo + 1, 1023)
         frac = pos - lo
-        expected = (1.0 - frac) * x[0, lo] + frac * x[0, hi]
-        assert abs(out[0, k] - expected) < 1e-12
+        expected = (1.0 - frac) * x[0, 0, lo] + frac * x[0, 0, hi]
+        assert abs(out[0, 0, k] - expected) < 1e-12
 
 
-def test_standardize_channel_replication_noise_on_copies_only():
-    rng = np.random.default_rng(2)
-    spec = StandardizeSpec(target_len=6, target_channels=3, replication_noise_std=0.5)
-    x = np.arange(12.0).reshape(2, 6)
-    out = standardize(x, spec, rng)
-    assert out.shape == (3, 6)
-    assert np.array_equal(out[:2], x)  # originals untouched
-    assert not np.array_equal(out[2], x[0])  # replica got noise
-    assert np.abs(out[2] - x[0]).max() < 5.0  # noise, not garbage
-
-
-def test_standardize_rejects_too_many_channels():
-    spec = StandardizeSpec(target_len=4, target_channels=1)
-    with pytest.raises(ConfigError):
-        standardize(np.ones((2, 4)), spec)
+def test_standardize_downsample_is_per_row_interp_bit_for_bit():
+    x = np.random.default_rng(4).normal(size=(5, 1, 77))
+    out = standardize_dataset(_dataset(x), 32).series
+    grid = np.linspace(0.0, 76.0, 32)
+    for i in range(5):
+        assert out[i, 0].tobytes() == np.interp(grid, np.arange(77), x[i, 0]).tobytes()
+    assert np.array_equal(standardize_dataset(_dataset(x), 1).series, x[:, :, :1])
 
 
 def test_standardize_idempotent_on_conforming():
-    spec = StandardizeSpec(target_len=10, target_channels=1, replication_noise_std=0.0)
-    x = np.random.default_rng(3).normal(size=(1, 13))
-    once = standardize(x, spec)
-    twice = standardize(once, spec)
-    assert np.array_equal(once, twice)
+    x = np.random.default_rng(3).normal(size=(2, 1, 13))
+    once = standardize_dataset(_dataset(x), 10)
+    twice = standardize_dataset(once, 10)
+    assert twice is once
 
 
 # -- shifted variants -------------------------------------------------------
