@@ -204,6 +204,12 @@ def cmd_generate(cfg, out):
     return run_dir
 
 
+def _in_run_dir(path, run_dir):
+    """``path`` relative to the run directory, so the file naming it does
+    not depend on ``--out``; None stays None."""
+    return None if path is None else os.path.relpath(path, run_dir)
+
+
 def cmd_pretrain(cfg, out):
     with _run(out, "pretrain", cfg) as run_dir:
         train_pool, val_pool = _load_pretrain_pool(cfg)
@@ -224,8 +230,8 @@ def cmd_pretrain(cfg, out):
                 "steps": result.state.step,
                 "final_loss": result.rows[-1][4] if result.rows else None,
                 "assignment_histograms": result.assignment_histograms,
-                "best_checkpoint": result.best_checkpoint,
-                "final_checkpoint": result.final_checkpoint,
+                "best_checkpoint": _in_run_dir(result.best_checkpoint, run_dir),
+                "final_checkpoint": _in_run_dir(result.final_checkpoint, run_dir),
             },
         )
     return run_dir
@@ -312,7 +318,9 @@ def _leg_configs(cfg, axis):
 def cmd_sweep(cfg, axis, out):
     legs = _leg_configs(cfg, axis)
     with _run(out, f"sweep-{axis}", cfg) as run_dir:
+        path = os.path.join(run_dir, "sweep.csv")
         rows = []
+        _write_csv(path, SWEEP_HEADER, rows)
         for value, leg_cfg in legs:
             started = time.monotonic()
             try:
@@ -323,7 +331,7 @@ def cmd_sweep(cfg, axis, out):
             params = count_parameters(leg_cfg.encoder)
             runtime = f"{time.monotonic() - started:.3f}"
             rows.append([axis, value, *scores, params, runtime, status])
-        _write_csv(os.path.join(run_dir, "sweep.csv"), SWEEP_HEADER, rows)
+            _write_csv(path, SWEEP_HEADER, rows)  # an interrupt keeps the legs done
     return run_dir
 
 

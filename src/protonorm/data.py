@@ -173,6 +173,18 @@ def write_atomic(path, data):
         raise
 
 
+def link_atomic(source, path):
+    """Make ``path`` a hard link to the file ``source``, replacing whatever
+    ``path`` held in one rename. ``write_atomic`` always replaces a file
+    and never writes into one, so a later write to either name leaves the
+    other as it is."""
+    tmp = f"{path}.tmp"
+    if os.path.lexists(tmp):
+        os.remove(tmp)
+    os.link(source, tmp)
+    os.replace(tmp, path)
+
+
 def save_ucr_tsv(ds, path, delimiter="\t"):
     """Write a dataset back out in the same text format (full float
     precision via repr, so regeneration is byte-deterministic), whole or

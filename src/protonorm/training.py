@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .contrastive import augment_pair, nt_xent, total_loss
-from .data import Dataset, batches, flatten_pool
+from .data import Dataset, batches, flatten_pool, link_atomic
 from .errors import (
     ConfigError,
     ContractError,
@@ -181,22 +181,27 @@ def adamw_step(params, state, lr, cfg):
     touched. A gradient or moment whose shape differs from its parameter's
     raises ``ShapeError``, and a non-finite gradient ``TrainingDiverged``,
     naming the parameter, before any parameter, moment or ``state.step``
-    changes.
+    changes. A gradient is finite when its squared norm ``g . g`` is, one
+    ``np.dot`` per parameter; that sum also overflows when some |g| passes
+    about 1e154, which counts as a divergence too.
 
-    The moments and parameters are updated in place, in the operation
-    order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    p = p*(1 - lr*wd) - lr*(m/c1) / (sqrt(v/c2) + eps). Every operation is
-    elementwise, so one ``np.nditer`` walks the gradient, both moments and
-    the parameter together in blocks of up to ``ADAMW_CHUNK`` entries, and
-    a block runs all of its about 15 passes, through two scratch buffers
-    of one block, while it is in cache: a paper-scale parameter set is
-    read from memory about once per step instead of once per pass, with
-    the same bits. A block of an array in any layout is a view of it or a
-    buffer that the iterator writes back, so every array is stepped in
-    place. The finiteness check walks each gradient in the same blocks.
+    The step is Adam's efficient form (Kingma & Ba, 2015, section 2), with
+    the bias corrections c1 = 1 - b1**t and c2 = 1 - b2**t folded into the
+    step size alpha = lr*sqrt(c2)/c1 and eps_hat = eps*sqrt(c2), both taken
+    once per step: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p = p*(1 - lr*wd) - alpha*m / (sqrt(v) + eps_hat). In exact arithmetic
+    that is p*(1 - lr*wd) - lr*(m/c1) / (sqrt(v/c2) + eps); in floats the
+    step differs from it by rounding only. Every operation is elementwise,
+    so one ``np.nditer`` walks the gradient, both moments and the
+    parameter together in blocks of up to ``ADAMW_CHUNK`` entries, and a
+    block runs all of its 13 in-place passes (12 without weight decay),
+    through two scratch buffers of one block, while it is in cache: a
+    paper-scale parameter set is read from memory about once per step
+    instead of once per pass. A block of an array in any layout is a view
+    of it or a buffer that the iterator writes back, so every array is
+    stepped in place.
     """
     stepped = {name: p for name, p in params.items() if p.grad is not None}
-    finite = np.empty(ADAMW_CHUNK, dtype=bool)
     for name, p in stepped.items():
         shapes = [a.shape for a in (p.grad, *state.moments.get(name, ()))]
         if set(shapes) != {p.data.shape}:
@@ -204,15 +209,18 @@ def adamw_step(params, state, lr, cfg):
                 f"parameter {name!r} has shape {p.data.shape}, but its "
                 f"gradient and moments have shapes {shapes}"
             )
-        for block in np.nditer(p.grad, _BLOCKS, buffersize=ADAMW_CHUNK):
-            if not np.isfinite(block, out=finite[: block.size]).all():
-                raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
+        g = p.grad.reshape(-1)
+        with np.errstate(over="ignore"):  # an overflow is reported as divergence
+            squared_norm = np.dot(g, g)
+        if not math.isfinite(squared_norm):
+            raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
     b1, b2 = cfg.betas
     state.step += 1
     t = state.step
     c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    a1, a2, eps = 1.0 - b1, 1.0 - b2, cfg.eps
+    root_c2 = math.sqrt(1.0 - b2**t)
+    alpha, eps_hat = lr * root_c2 / c1, cfg.eps * root_c2
+    a1, a2 = 1.0 - b1, 1.0 - b2
     decay = 1.0 - lr * cfg.weight_decay if cfg.weight_decay else None
     scratch1, scratch2 = np.empty(ADAMW_CHUNK), np.empty(ADAMW_CHUNK)
     for name, p in stepped.items():
@@ -230,12 +238,10 @@ def adamw_step(params, state, lr, cfg):
                 vi += np.multiply(a2, s2, out=s2)
                 if decay is not None:
                     pi *= decay
-                np.divide(mi, c1, out=s1)
-                s1 *= lr
-                np.divide(vi, c2, out=s2)
-                np.sqrt(s2, out=s2)
-                s2 += eps
-                s1 /= s2
+                np.sqrt(vi, out=s2)
+                s2 += eps_hat
+                np.divide(mi, s2, out=s1)
+                s1 *= alpha
                 pi -= s1
 
 
@@ -489,8 +495,11 @@ def pretrain(
     set, checkpoints land there (last good epoch, best validation, final)
     and divergence aborts with the last good checkpoint retained. The best
     epoch is the one with the lowest validation NT-Xent: the orthogonality
-    penalty does not take part in choosing ``best.ckpt``.
-    ``stop_after_steps`` interrupts mid-run for checkpoint-resume tests.
+    penalty does not take part in choosing ``best.ckpt``. A completed run
+    names its last ``last.ckpt`` ``final.ckpt`` too, by a hard link, so
+    those bytes are written once; a call that ran no epoch saves
+    ``final.ckpt`` itself. ``stop_after_steps`` interrupts mid-run for
+    checkpoint-resume tests.
 
     A completed run hands its optimizer state to ``final.ckpt`` and keeps
     none in memory: the returned state has no moments and no parameter
@@ -559,7 +568,11 @@ def pretrain(
                 checkpoint_to("best")
         checkpoint_to("last")
 
-    final = checkpoint_to("final")
+    if paths["last"] is not None:  # the same bytes: written once, named twice
+        final = paths["final"] = f"{out_dir}/final.ckpt"
+        link_atomic(paths["last"], final)
+    else:
+        final = checkpoint_to("final")
     _release_optimizer_state(state, all_params)
     return PretrainResult(
         encoder,

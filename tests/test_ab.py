@@ -53,6 +53,31 @@ def test_summary_counts_pairs_won_in_the_metric_direction():
     assert ab.summarize(pairs, "peak_rss_mb", "lower")["all_correct"] is False
 
 
+def test_claim_verdict_needs_nine_in_ten_pairs_and_a_gap_beyond_the_spread():
+    """Ten pairs: 9 wins and a median gap wider than the parent's
+    interquartile spread meet the claim; 8 wins, or a gap inside the
+    spread, do not."""
+    def pairs_of(parent, change):
+        return [(i, "parent", {"parent": _result(700.0, p), "change": _result(700.0, c)})
+                for i, (p, c) in enumerate(zip(parent, change))]
+
+    parent = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+    ahead = [v + 2.0 for v in parent[:9]] + [parent[9] - 1.0]
+    entry = ab.summarize(pairs_of(parent, ahead), "pretrain_samples_per_s", "higher")
+    assert entry["pretrain_samples_per_s_pairs_won"] == {"change": 9, "pairs": 10}
+    assert entry["claim_verdict"] == "met"
+    eight = ahead[:8] + [parent[8] - 1.0, parent[9] - 1.0]
+    entry = ab.summarize(pairs_of(parent, eight), "pretrain_samples_per_s", "higher")
+    assert entry["pretrain_samples_per_s_pairs_won"]["change"] == 8
+    assert entry["claim_verdict"] == "not met"
+    close = [v + 0.1 for v in parent]  # won every pair, but inside the spread
+    entry = ab.summarize(pairs_of(parent, close), "pretrain_samples_per_s", "higher")
+    assert entry["pretrain_samples_per_s_pairs_won"]["change"] == 10
+    assert entry["claim_verdict"] == "not met"
+    lower = ab.summarize(pairs_of(parent, ahead), "peak_rss_mb", "lower")
+    assert lower["claim_verdict"] == "not met"  # every pair a tie
+
+
 def test_a_metric_no_run_of_one_side_measured_has_no_median():
     pairs = [(1, "parent", {"parent": _result(700.0, 10.0), "change": _result(500.0, 11.0)})]
     del pairs[0][2]["change"]["metrics"]["pretrain_samples_per_s"]
@@ -117,11 +142,14 @@ def test_trace_seeds_run_traced_pairs_on_both_sides(tmp_path, monkeypatch, capsy
     entry = doc["workloads"]["shift-pipeline"]
     assert entry["seeds"]["change"] == [1, 2, 3]
     assert entry["peak_rss_mb_pairs_won"] == {"change": 3, "pairs": 3}
+    assert entry["claim_verdict"] == "met"
     assert "data.load_s" not in entry["metrics"]
     per_layer = entry["per_layer"]
     assert per_layer["seeds"] == [2, 5] and per_layer["first"] == ["parent", "change"]
     assert per_layer["metrics"]["data.load_s"]["change"]["runs"] == [0.4, 0.4]
-    assert "data.load_s: parent 0.6 -> change 0.4" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "peak_rss_mb better in 3 of 3 pairs: claim met" in printed
+    assert "data.load_s: parent 0.6 -> change 0.4" in printed
 
 
 def _sides(parent, change):

@@ -292,6 +292,21 @@ def test_pretrain_outputs_and_determinism(tmp_path):
     assert first == second
 
 
+def test_pretrain_summary_does_not_depend_on_the_out_directory(tmp_path):
+    """The summary names its checkpoints relative to the run directory, so
+    the same run under two ``--out`` roots writes the same bytes."""
+    summaries = []
+    for root in ("A", "B"):
+        (tmp_path / root).mkdir()
+        _, out = _generate_then_pretrain(tmp_path / root)
+        run_dir = only_run_dir(out, "pretrain-")
+        summaries.append(open(os.path.join(run_dir, "pretrain_summary.json"), "rb").read())
+        doc = json.loads(summaries[-1])
+        assert doc["final_checkpoint"] == "final.ckpt" and doc["best_checkpoint"] == "best.ckpt"
+        load_checkpoint(os.path.join(run_dir, doc["final_checkpoint"]))
+    assert summaries[0] == summaries[1]
+
+
 def test_finetune_and_eval_metrics_passthrough(tmp_path):
     cfg_path, out = _generate_then_pretrain(tmp_path)
     pre_dir = only_run_dir(out, "pretrain-")
@@ -513,6 +528,44 @@ def test_sweep_rows_and_failed_leg(tmp_path):
     # n_prototypes=40 > d_model=16 must fail that leg but not the sweep
     assert "failed" in lines[3]
     assert "ok" in lines[1] and "ok" in lines[2]
+
+
+def test_interrupted_sweep_keeps_the_legs_it_finished(tmp_path, capsys, monkeypatch):
+    """Ctrl-C in the third of three legs exits 130 with status
+    ``interrupted``, and sweep.csv holds the rows of the first two."""
+    import protonorm.cli as cli
+
+    cfg = desk_config(tmp_path)
+    out = tmp_path / "runs"
+    run(["generate", "--config", cfg, "--out", out])
+    gen_dir = only_run_dir(out, "generate-")
+    doc = json.loads((tmp_path / "config.json").read_text())
+    doc["data"]["pretrain_paths"] = [os.path.join(gen_dir, "cluster0.tsv")]
+    doc["data"]["finetune_train_path"] = os.path.join(gen_dir, "cluster0.tsv")
+    doc["sweep"] = {"n_prototypes": [1, 2, 3]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(doc))
+    real_run_leg = cli._run_leg
+    legs = []
+
+    def run_leg_then_interrupt(leg_cfg, axis):
+        legs.append(leg_cfg.encoder.n_prototypes)
+        if len(legs) == 3:
+            raise KeyboardInterrupt
+        return real_run_leg(leg_cfg, axis)
+
+    monkeypatch.setattr(cli, "_run_leg", run_leg_then_interrupt)
+    capsys.readouterr()
+    assert run(["sweep", "n_prototypes", "--config", cfg_path, "--out", out]) == 130
+    assert legs == [1, 2, 3] and capsys.readouterr().err == "interrupted\n"
+    sweep_dir = only_run_dir(out, "sweep-n_prototypes-")
+    status = json.loads(open(os.path.join(sweep_dir, "status.json")).read())
+    assert status == {"status": "interrupted"}
+    lines = open(os.path.join(sweep_dir, "sweep.csv")).read().splitlines()
+    assert lines[0] == "axis,value,accuracy,macro_f1,param_count,runtime_s,status"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["n_prototypes", "1"],
+                                                           ["n_prototypes", "2"]]
+    assert all(line.endswith(",ok") for line in lines[1:])
 
 
 def test_lambda_zero_leg_reproduces_no_ortho_mode(tmp_path):

@@ -4,6 +4,7 @@ mechanism-isolation equivalences."""
 import dataclasses
 import gc
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -165,9 +166,14 @@ def test_adamw_nan_gradient_leaves_everything_untouched():
 
 
 def _out_of_place_adamw(ref, moments, params, lr, t, cfg):
-    """The textbook AdamW step on copies: `ref` and `moments` (name ->
-    [m, v]) are advanced for every parameter of `params` with a grad."""
+    """The folded AdamW step on copies: `ref` and `moments` (name ->
+    [m, v]) are advanced for every parameter of `params` with a grad, in
+    the operation order `adamw_step` runs, with the bias corrections
+    folded into alpha and eps_hat (Kingma & Ba, 2015, section 2)."""
     b1, b2 = cfg.betas
+    c1 = 1.0 - b1**t
+    root_c2 = math.sqrt(1.0 - b2**t)
+    alpha, eps_hat = lr * root_c2 / c1, cfg.eps * root_c2
     for n, p in params.items():
         if p.grad is None:
             continue
@@ -177,7 +183,7 @@ def _out_of_place_adamw(ref, moments, params, lr, t, cfg):
         moments[n] = [m, v]
         if cfg.weight_decay:
             ref[n] = ref[n] * (1.0 - lr * cfg.weight_decay)
-        ref[n] = ref[n] - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.eps)
+        ref[n] = ref[n] - alpha * (m / (np.sqrt(v) + eps_hat))
 
 
 def _assert_adamw_matches(params, state, ref, moments):
@@ -286,6 +292,67 @@ def test_adamw_steps_arrays_that_are_not_c_contiguous_in_place():
     _assert_adamw_matches(params, state, ref, moments)
     assert all(params[n].data is a for n, a in arrays.items())
     assert not state.moments["wide_t"][0].flags.c_contiguous
+
+
+@pytest.mark.parametrize("t", [1, 2, 10, 1000])
+def test_adamw_step_is_within_8_ulp_of_the_textbook_step(t):
+    """From equal states, the moments keep the textbook bits, and the step
+    lr*(m/c1) / (sqrt(v/c2) + eps) is taken within 8 ulp of its own size.
+    Each parameter starts at zero, so its new value is minus the step,
+    exactly; v spans sqrt(v) far below and far above eps."""
+    rng = np.random.default_rng(10)
+    n = 3 * ADAMW_CHUNK + 11
+    cfg = OptimConfig(weight_decay=0.05, warmup_steps=0, total_steps=1)
+    b1, b2 = cfg.betas
+    g = rng.normal(size=n) * np.exp(rng.uniform(-20.0, 5.0, size=n))
+    m0 = rng.normal(size=n) * np.exp(rng.uniform(-20.0, 5.0, size=n))
+    v0 = np.exp(rng.uniform(-60.0, 10.0, size=n))
+    p = Tensor(np.zeros(n), requires_grad=True)
+    p.grad = g
+    state = TrainState(streams=RngStreams.from_seed(0), step=t - 1)
+    state.moments = {"p": [m0.copy(), v0.copy()]}
+    lr = 3e-4
+    adamw_step({"p": p}, state, lr, cfg)
+    m = b1 * m0 + (1.0 - b1) * g
+    v = b2 * v0 + (1.0 - b2) * (g * g)
+    assert np.array_equal(state.moments["p"][0], m)
+    assert np.array_equal(state.moments["p"][1], v)
+    step = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.eps)
+    assert np.all(step != 0.0)
+    ulps = np.abs(-p.data - step) / np.spacing(np.abs(step))
+    assert ulps.max() <= 8.0, ulps.max()
+
+
+@pytest.mark.parametrize("case", ["overflowing norm", "nan in a Fortran-order gradient"])
+def test_adamw_squared_norm_check_leaves_everything_untouched(case):
+    """A gradient whose squared norm is not finite raises naming its
+    parameter before any parameter, moment or the step count changes:
+    a finite entry of 1e200 overflows g . g, and a NaN in a Fortran-order
+    gradient is caught through its flattened copy."""
+    rng = np.random.default_rng(11)
+    params = {n: Tensor(rng.normal(size=(40, 30)), requires_grad=True) for n in "abc"}
+    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
+    state = TrainState(streams=RngStreams.from_seed(0))
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    adamw_step(params, state, 1e-2, cfg)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    if case == "overflowing norm":
+        params["b"].grad[17, 3] = 1e200
+        assert np.isfinite(params["b"].grad).all()
+    else:
+        params["b"].grad = np.asfortranarray(params["b"].grad)
+        params["b"].grad[17, 3] = np.nan
+        assert not params["b"].grad.flags.c_contiguous
+    data = {n: p.data.copy() for n, p in params.items()}
+    moments = {n: [m.copy(), v.copy()] for n, (m, v) in state.moments.items()}
+    with pytest.raises(TrainingDiverged, match="non-finite gradient in parameter 'b'"):
+        adamw_step(params, state, 1e-2, cfg)
+    assert state.step == 1
+    for n, p in params.items():
+        assert np.array_equal(p.data, data[n])
+        assert all(np.array_equal(a, b) for a, b in zip(state.moments[n], moments[n]))
 
 
 @pytest.mark.parametrize("where", ["grad", "same-size grad", "m", "v"])
@@ -680,6 +747,32 @@ def test_completed_pretrain_hands_its_optimizer_state_to_final_ckpt(tmp_path):
         m, v = state.moments[k]
         assert m.shape == v.shape == params[k].shape, k
         assert v.any(), k
+
+
+def test_completed_pretrain_links_final_ckpt_to_its_last_ckpt(tmp_path):
+    """A completed run writes its last state once: ``final.ckpt`` is a hard
+    link to the ``last.ckpt`` it just wrote, and loads. A re-run into the
+    same directory links again; a call that runs no epoch saves
+    ``final.ckpt`` itself, with the same bytes."""
+    for _ in range(2):
+        _, enc, streams = desk_encoder(seed=19)
+        result = run_pretrain(enc, streams, tiny_pool(), seed=19, out_dir=str(tmp_path))
+        final, last = tmp_path / "final.ckpt", tmp_path / "last.ckpt"
+        assert result.final_checkpoint == str(final)
+        assert os.path.samefile(final, last)
+        assert not list(tmp_path.glob("*.tmp"))
+        _, state, _, _ = load_checkpoint(final)
+        assert state.step == 12 and state.epoch == 2
+    enc, state, _, _ = load_checkpoint(final)
+    again = tmp_path / "again"
+    again.mkdir()
+    rest = pretrain(
+        tiny_pool(), enc, AugmentConfig(), NtXentConfig(lambda_orth=0.001),
+        OptimConfig(warmup_steps=5), epochs=2, batch_size=8, seed=19, state=state,
+        out_dir=str(again),
+    )
+    assert rest.rows == [] and sorted(os.listdir(again)) == ["final.ckpt"]
+    assert (again / "final.ckpt").read_bytes() == final.read_bytes()
 
 
 def test_interrupted_pretrain_keeps_moments_and_gradients():

@@ -22,7 +22,10 @@ more than its ``BENCHMARK.json`` bound ("worse", else "within"), or
 "unresolved" where the parent's interquartile spread is wider than the
 bound and not every change run reads better than every parent run. With
 ``--claim``, it also counts the pairs the change won on that metric (in
-the direction ``BENCHMARK.json`` gives); with ``--trace-seeds``, the same
+the direction ``BENCHMARK.json`` gives) and rules on the claim under
+``claim_verdict``: "met" when the change won at least 9 of every 10 pairs
+and its median beats the parent's by more than the parent's
+interquartile spread, else "not met"; with ``--trace-seeds``, the same
 figures of every per-layer metric go under ``per_layer``. It names the
 parent commit and the git tree of ``src/`` on both sides.
 """
@@ -47,7 +50,9 @@ METHOD = (
     "(host-normalized, see benchmarks/README.md), and peak_rss_mb is the "
     "process's ru_maxrss; median and quartiles (statistics.quantiles, n=4) are "
     "over runs; <claim>_pairs_won counts the seed pairs in which the change's "
-    "value of the claimed metric was better; regression sets each end-to-end "
+    "value of the claimed metric was better; claim_verdict is met when the change "
+    "won at least 9/10 of the pairs and its median beats the parent's by more "
+    "than the parent's interquartile spread; regression sets each end-to-end "
     "metric's change of median against its BENCHMARK.json bound"
 )
 CHANGE_SHA = "the parent plus this change, measured from the working tree; identified by src_tree"
@@ -177,7 +182,23 @@ def summarize(pairs, claim=None, better=None):
                 if claim in res["parent"]["metrics"] and claim in res["change"]["metrics"]]
         won = sum(c < p if better == "lower" else c > p for p, c in both)
         entry[f"{claim}_pairs_won"] = {"change": won, "pairs": len(both)}
+        entry["claim_verdict"] = claim_verdict(
+            entry["metrics"].get(claim), won, len(both), better
+        )
     return entry
+
+
+def claim_verdict(m, won, pairs, better):
+    """"met" when the change won at least 9 of every 10 ``pairs`` and its
+    median of the claimed metric ``m`` beats the parent's, in the ``better``
+    direction, by more than the parent's interquartile spread; else "not
+    met" (so also when a side has no median)."""
+    if not pairs or m is None or None in (m["parent"]["median"], m["change"]["median"]):
+        return "not met"
+    sign = 1.0 if better == "lower" else -1.0
+    gain = sign * (m["parent"]["median"] - m["change"]["median"])
+    spread = m["parent"]["q3"] - m["parent"]["q1"]
+    return "met" if 10 * won >= 9 * pairs and gain > spread else "not met"
 
 
 def regression(metrics, declared):
@@ -307,7 +328,8 @@ def main(argv=None):
         print(f"{workload}: all correct {entry['all_correct']}")
         if args.claim:
             won = entry[f"{args.claim}_pairs_won"]
-            print(f"  {args.claim} better in {won['change']} of {won['pairs']} pairs")
+            print(f"  {args.claim} better in {won['change']} of {won['pairs']} pairs: "
+                  f"claim {entry['claim_verdict']}")
         for name, r in entry["regression"].items():
             if r["verdict"] == "unmeasured":
                 print(f"  {name}: unmeasured")
