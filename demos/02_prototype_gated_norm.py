@@ -4,13 +4,7 @@ orthogonality penalty to zero by gradient descent."""
 
 import numpy as np
 
-from protonorm import (
-    ProtoNormLayer,
-    Tensor,
-    ema_update,
-    init_orthogonal,
-    orthogonality_loss,
-)
+from protonorm import PrototypeBank, ProtoNormLayer, Tensor, orthogonality_loss
 
 rng = np.random.default_rng(1)
 d = 8
@@ -20,7 +14,7 @@ a = 4.0 + 0.2 * rng.normal(size=(6, 5, d))
 b = -4.0 + 0.2 * rng.normal(size=(6, 5, d))
 x = np.concatenate([a, b])
 
-layer = ProtoNormLayer.create(d, n=2, mode="proto-gated", rng=rng, ema_alpha=0.3)
+layer = ProtoNormLayer(d, n=2, mode="proto-gated", rng=rng, ema_alpha=0.3)
 print("prototype rows orthonormal at init:",
       orthogonality_loss(layer.bank.P).item() < 1e-10)
 
@@ -28,7 +22,7 @@ print("prototype rows orthonormal at init:",
 # the cluster means and the routing becomes stable and pure.
 for step in range(10):
     layer.forward(Tensor(x), train=True)
-    layer.apply_ema()
+    layer.bank.apply_ema()
 print("assignments after EMA refinement:", layer.last_assignments)
 print("prototype 0 ~ cluster mean:",
       np.round(layer.bank.P.data[:, :3], 2).tolist())
@@ -37,7 +31,7 @@ print("prototype 0 ~ cluster mean:",
 layer.bank.frozen = True
 before = layer.bank.P.data.copy()
 layer.forward(Tensor(x), train=True)
-layer.apply_ema()
+layer.bank.apply_ema()
 print("frozen bank unchanged:", np.array_equal(before, layer.bank.P.data))
 
 # The orthogonality penalty pulls an arbitrary bank back to orthonormal.
@@ -50,13 +44,12 @@ for step in range(300):
 print(f"penalty after descent: {orthogonality_loss(P).item():.2e}")
 
 # EMA contraction follows the exact geometric law.
-from protonorm import PrototypeBank
-
 alpha = 0.25
-bank = PrototypeBank(init_orthogonal(1, d, rng), ema_alpha=alpha)
+bank = PrototypeBank(1, d, rng, ema_alpha=alpha)
 target = rng.normal(size=d)
 gap0 = np.linalg.norm(bank.P.data[0] - target)
 for t in range(1, 6):
-    ema_update(bank, {0: target})
+    bank.stage(target[None], np.array([0]))
+    bank.apply_ema()
     gap = np.linalg.norm(bank.P.data[0] - target)
     print(f"  step {t}: gap ratio {gap / gap0:.6f} vs (1-alpha)^t {(1 - alpha) ** t:.6f}")

@@ -43,7 +43,6 @@ from .errors import (
 from .norm import (
     PrototypeBank,
     ProtoNormLayer,
-    ema_update,
     init_orthogonal,
     orthogonality_loss,
 )

@@ -19,11 +19,11 @@ coefficient is not stored per bank: the embedded config's
 Every section is CRC checked on load; a flipped byte raises rather than
 loading silently.
 
-Schema version 4 stores each norm site as its arrays:
+Schema version 5 stores each norm site as its arrays:
 ``param.blockK.normJ.gamma`` and ``.beta`` of shape [n, d] (row i is the
 affine pair of route i) and, in proto-gated mode alone, ``.prototypes``
-[n, d]. It holds no routing counts. Files of any other version raise
-``VersionError``.
+[n, d]. It holds no routing counts, and its embedded encoder config has
+no ``channels`` field. Files of any other version raise ``VersionError``.
 
 A file is written whole or not at all through ``data.write_atomic``, so
 an interrupted save leaves the previous file intact.
@@ -48,7 +48,7 @@ from .training import RngStreams, TrainState
 __all__ = ["SCHEMA_VERSION", "load_checkpoint", "save_checkpoint"]
 
 MAGIC = b"PNORMCK1"
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _canonical_json(obj):

@@ -302,10 +302,10 @@ def _run_leg(leg_cfg, axis):
 
 
 def _leg_configs(cfg, axis):
-    """(value, config) of every leg, so that a value out of range is a
-    ConfigError naming ``sweep.<axis>[i]`` before any leg runs."""
-    if axis not in cfg.sweep:
-        raise ConfigError(f"sweep axis {axis!r} has no values in the config")
+    """(value, config) of every leg, so that an empty axis or a value out
+    of range is a ConfigError naming ``sweep.<axis>`` before any leg runs."""
+    if not cfg.sweep[axis]:
+        raise ConfigError(f"sweep.{axis}: empty; a sweep needs at least one value")
     legs = []
     for i, value in enumerate(cfg.sweep[axis]):
         try:

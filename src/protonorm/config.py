@@ -6,9 +6,8 @@ environment variables (``PROTONORM_*``) and command-line flags, with
 precedence flag > env > file > defaults. The fully resolved document is
 what gets digested into run-directory names and persisted next to every
 run's outputs, so any run can be replayed exactly. The encoder section
-alone fixes the input shape: every series is brought to
-``encoder.input_len``, and ``encoder.channels`` must be 1, since data
-files hold univariate series.
+alone fixes the input shape: data files hold univariate series, and every
+series is brought to ``encoder.input_len``.
 """
 
 from __future__ import annotations
@@ -289,11 +288,6 @@ def build_run_config(resolved):
             syn["length"] = enc["input_len"]
         data["synthetic"] = _section("data.synthetic", SyntheticConfig, syn)
     sections = {name: _section(name, cls, docs[name]) for name, cls in SECTIONS.items()}
-    if sections["encoder"].channels != 1:
-        raise ConfigError(
-            f"encoder.channels must be 1, got {sections['encoder'].channels}: "
-            f"data files hold univariate series"
-        )
     return RunConfig(
         seed=resolved["seed"],
         **sections,

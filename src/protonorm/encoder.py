@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .norm import MODES, ProtoNormLayer
+from .norm import MODES, ProtoNormLayer, check_site_settings
 from .tensor import Tensor, dropout, linear, relu, softmax
 
 __all__ = [
@@ -36,7 +36,6 @@ class EncoderConfig:
     checks over every parameter run in minutes."""
 
     input_len: int = 128
-    channels: int = 1
     patch_size: int = 16
     d_model: int = 64
     n_heads: int = 4
@@ -67,9 +66,10 @@ class EncoderConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.n_prototypes < 1:
             raise ConfigError(f"n_prototypes must be >= 1, got {self.n_prototypes}")
-        for field in ("input_len", "channels", "patch_size", "d_model", "n_heads", "n_layers"):
+        for field in ("input_len", "patch_size", "d_model", "n_heads", "n_layers"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1")
+        check_site_settings(self.ema_alpha, self.epsilon)
 
     @property
     def n_tokens(self):
@@ -176,7 +176,7 @@ class EncoderBlock:
 
     @staticmethod
     def _make_norm(cfg, rng_protos):
-        return ProtoNormLayer.create(
+        return ProtoNormLayer(
             cfg.d_model,
             cfg.n_prototypes,
             cfg.norm_mode,
@@ -216,7 +216,7 @@ class Encoder:
             raise ContractError("proto-gated encoder needs rng_protos")
         self.cfg = cfg
         d = cfg.d_model
-        self.patch_embed = Linear(cfg.channels * cfg.patch_size, d, rng_params, "patch_embed")
+        self.patch_embed = Linear(cfg.patch_size, d, rng_params, "patch_embed")
         self.pos_embed = Tensor(
             0.02 * rng_params.standard_normal((cfg.n_tokens, d)), requires_grad=True
         )
@@ -248,11 +248,8 @@ class Encoder:
     def represent(self, x, train=False, rng=None, dataset_ids=None):
         """Mean-pooled token representation [B, d_model] before any head."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1] != self.cfg.channels or x.shape[2] != self.cfg.input_len:
-            raise ShapeError(
-                f"expected [B, {self.cfg.channels}, {self.cfg.input_len}] batch, "
-                f"got {x.shape}"
-            )
+        if x.ndim != 3 or x.shape[1:] != (1, self.cfg.input_len):
+            raise ShapeError(f"expected [B, 1, {self.cfg.input_len}] batch, got {x.shape}")
         if train and self.cfg.dropout > 0 and rng is None:
             raise ContractError("train-mode forward with dropout needs an rng")
         tokens = Tensor(patchify(x, self.cfg.patch_size))
@@ -305,8 +302,8 @@ class Encoder:
             bank.frozen = bool(frozen)
 
     def apply_ema_updates(self):
-        for layer in self.protonorm_layers():
-            layer.apply_ema()
+        for bank in self.banks():
+            bank.apply_ema()
 
 
 MacCount = namedtuple("MacCount", ["core", "gating"])
@@ -321,8 +318,7 @@ def count_parameters(cfg):
     2*n_layers*n*d prototype entries on top.
     """
     d, t = cfg.d_model, cfg.n_tokens
-    cp = cfg.channels * cfg.patch_size
-    embed = cp * d + d
+    embed = cfg.patch_size * d + d
     pos = t * d
     attn = 4 * (d * d + d)
     ffn = d * 4 * d + 4 * d + 4 * d * d + d
@@ -344,8 +340,7 @@ def count_forward_macs(cfg):
     work is the proto-gated distance computation, reported separately.
     """
     d, t = cfg.d_model, cfg.n_tokens
-    cp = cfg.channels * cfg.patch_size
-    core = t * cp * d
+    core = t * cfg.patch_size * d
     core += cfg.n_layers * (12 * t * d * d + 2 * t * t * d)
     core += d * d + d * cfg.proj_dim
     gating = 2 * cfg.n_layers * cfg.n_prototypes * d if cfg.norm_mode == "proto-gated" else 0

@@ -28,7 +28,6 @@ __all__ = [
     "MODES",
     "PrototypeBank",
     "ProtoNormLayer",
-    "ema_update",
     "init_orthogonal",
     "orthogonality_loss",
 ]
@@ -56,26 +55,26 @@ def init_orthogonal(n, d, rng):
     return rows
 
 
+def check_site_settings(ema_alpha, epsilon):
+    """Raise ConfigError unless ``ema_alpha`` lies in (0, 1] and the
+    variance ``epsilon`` is finite and > 0. The encoder configuration and
+    a norm site built on its own both check through here."""
+    if not 0.0 < ema_alpha <= 1.0:
+        raise ConfigError(f"ema_alpha must be in (0, 1], got {ema_alpha}")
+    if not 0.0 < epsilon < np.inf:
+        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 class PrototypeBank:
-    """n prototype rows with their EMA refinement state. The bank is
-    frozen exactly when its prototype tensor takes no gradient."""
+    """n orthonormal prototype rows in d dims and the batch features
+    staged for their EMA step. The bank is frozen exactly when its
+    prototype tensor takes no gradient."""
 
-    def __init__(self, P, ema_alpha=0.05, frozen=False):
-        self.P = P if isinstance(P, Tensor) else Tensor(P)
-        if self.P.ndim != 2 or self.P.shape[0] < 1:
-            raise ShapeError(f"prototype matrix must be [n, d], got {self.P.shape}")
-        if not 0.0 < ema_alpha <= 1.0:
-            raise ConfigError(f"ema_alpha must lie in (0, 1], got {ema_alpha}")
-        if not np.isfinite(self.P.data).all():
-            raise InputError("prototype matrix contains non-finite entries")
+    def __init__(self, n, d, rng, ema_alpha=0.05):
+        self.P = Tensor(init_orthogonal(n, d, rng), requires_grad=True)
         self.ema_alpha = float(ema_alpha)
-        self.frozen = frozen
-        self._pending_sum = np.zeros_like(self.P.data)
-        self._pending_count = np.zeros(self.n, dtype=np.int64)
-
-    @classmethod
-    def create(cls, n, d, rng, ema_alpha=0.05):
-        return cls(init_orthogonal(n, d, rng), ema_alpha=ema_alpha)
+        self._sum = np.zeros((n, d))
+        self._count = np.zeros(n, dtype=np.int64)
 
     @property
     def frozen(self):
@@ -87,46 +86,29 @@ class PrototypeBank:
     def frozen(self, value):
         self.P.requires_grad = not value
 
-    @property
-    def n(self):
-        return self.P.shape[0]
-
-    @property
-    def dim(self):
-        return self.P.shape[1]
-
     def stage(self, features, indices):
         """Accumulate this batch's gating features per selected prototype;
-        consumed later by ``ProtoNormLayer.apply_ema``."""
-        np.add.at(self._pending_sum, indices, features)
-        self._pending_count += np.bincount(indices, minlength=self.n)
+        consumed by ``apply_ema``."""
+        np.add.at(self._sum, indices, features)
+        self._count += np.bincount(indices, minlength=len(self._count))
 
-    def take_pending_means(self):
-        sel = np.nonzero(self._pending_count)[0]
-        means = {
-            int(i): self._pending_sum[i] / self._pending_count[i] for i in sel
-        }
-        self._pending_sum[:] = 0.0
-        self._pending_count[:] = 0
-        return means
-
-
-def ema_update(bank, assigned_means):
-    """Pull each selected prototype toward the mean of its assigned batch
-    features: p <- (1 - alpha) * p + alpha * mean. Runs outside the
-    differentiation graph, so call it only after backward/optimizer work
-    on any graph that references the bank.
-
-    A frozen bank makes this a no-op rather than an error.
-    """
-    if bank.frozen:
-        return
-    a = bank.ema_alpha
-    for i, mean in assigned_means.items():
-        mean = np.asarray(mean, dtype=np.float64)
-        if not np.isfinite(mean).all():
-            raise InputError(f"EMA feature mean for prototype {i} is non-finite")
-        bank.P.data[i] = (1.0 - a) * bank.P.data[i] + a * mean
+    def apply_ema(self):
+        """Pull each prototype with staged features toward their mean,
+        p <- (1 - alpha) * p + alpha * mean, and clear the stage. Runs
+        outside the differentiation graph, so call it only after
+        backward/optimizer work on any graph that references the bank.
+        A frozen bank only clears its stage."""
+        sel = np.nonzero(self._count)[0]
+        means = self._sum[sel] / self._count[sel, None]
+        self._sum[:] = 0.0
+        self._count[:] = 0
+        if self.frozen:
+            return
+        bad = ~np.isfinite(means).all(axis=1)
+        if bad.any():
+            raise InputError(f"EMA feature mean for prototype {sel[bad][0]} is non-finite")
+        a = self.ema_alpha
+        self.P.data[sel] = (1.0 - a) * self.P.data[sel] + a * means
 
 
 def orthogonality_loss(P):
@@ -150,54 +132,28 @@ class ProtoNormLayer:
     of the layer's gamma and beta arrays. The routing feature is the mean
     of the sample's tokens, taken outside the graph so no gradient flows
     through the gate. In train mode the routed features are staged for an
-    EMA prototype update, applied by ``apply_ema`` (the training loop calls
-    it after the optimizer step so in-flight graphs never see mutated
+    EMA prototype update, applied by ``bank.apply_ema`` (the training loop
+    calls it after the optimizer step so in-flight graphs never see mutated
     prototypes).
     """
 
-    def __init__(self, gamma, beta, mode, bank=None, epsilon=1e-8):
+    def __init__(self, d, n, mode, rng=None, ema_alpha=0.05, epsilon=1e-8):
         if mode not in MODES:
             raise ConfigError(f"unknown norm mode {mode!r}; expected one of {MODES}")
-        if not 0.0 < epsilon < np.inf:
-            raise ConfigError(f"layer norm epsilon must be finite and > 0, got {epsilon}")
-        self.gamma = gamma if isinstance(gamma, Tensor) else Tensor(gamma, requires_grad=True)
-        self.beta = beta if isinstance(beta, Tensor) else Tensor(beta, requires_grad=True)
-        if (
-            self.gamma.shape != self.beta.shape
-            or self.gamma.ndim != 2
-            or self.gamma.shape[0] < 1
-        ):
-            raise ShapeError(
-                f"gamma/beta must be equal [n, d] arrays with n >= 1, got "
-                f"{self.gamma.shape} and {self.beta.shape}"
-            )
+        check_site_settings(ema_alpha, epsilon)
+        if mode == "plain-LN":
+            n = 1
+        self.bank = None
         if mode == "proto-gated":
-            if bank is None:
-                raise ContractError("proto-gated mode requires a prototype bank")
-            if bank.n != self.n:
-                raise ContractError(
-                    f"bank size {bank.n} != number of gamma/beta rows {self.n}"
-                )
-            if bank.dim != self.dim:
-                raise ShapeError(
-                    f"prototype dim {bank.dim} != feature dim {self.dim}"
-                )
+            if rng is None:
+                raise ContractError("proto-gated mode needs an rng for prototype init")
+            self.bank = PrototypeBank(n, d, rng, ema_alpha)
+        self.gamma = Tensor(np.ones((n, d)), requires_grad=True)
+        self.beta = Tensor(np.zeros((n, d)), requires_grad=True)
         self.mode = mode
-        self.bank = bank
         self.epsilon = float(epsilon)
         self.last_assignments = None  # diagnostics, refreshed each forward
         self.last_features = None
-
-    @classmethod
-    def create(cls, d, n, mode, rng=None, ema_alpha=0.05, epsilon=1e-8):
-        bank = None
-        if mode == "plain-LN":
-            n = 1
-        elif mode == "proto-gated":
-            if rng is None:
-                raise ContractError("proto-gated mode needs an rng for prototype init")
-            bank = PrototypeBank.create(n, d, rng, ema_alpha=ema_alpha)
-        return cls(np.ones((n, d)), np.zeros((n, d)), mode, bank, epsilon)
 
     @property
     def n(self):
@@ -255,14 +211,6 @@ class ProtoNormLayer:
         if train and self.mode == "proto-gated" and not self.bank.frozen:
             self.bank.stage(features, idx)
         return layer_norm(x, idx, self.gamma, self.beta, self.epsilon)
-
-    def apply_ema(self):
-        """Consume staged features and refresh the prototypes."""
-        if self.bank is None:
-            return
-        means = self.bank.take_pending_means()
-        if means:
-            ema_update(self.bank, means)
 
     def parameters(self):
         out = {"gamma": self.gamma, "beta": self.beta}

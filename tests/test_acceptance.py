@@ -35,7 +35,6 @@ from protonorm import (
     concat,
     count_forward_macs,
     count_parameters,
-    ema_update,
     finetune,
     init_orthogonal,
     load_checkpoint,
@@ -79,7 +78,6 @@ def _fd_rel_error(analytic, numeric):
 
 GRAD_CFG = EncoderConfig(
     input_len=16,
-    channels=1,
     patch_size=16,
     d_model=64,
     n_heads=4,
@@ -201,7 +199,7 @@ def test_acceptance_gradient_integrity():
     streams = RngStreams.from_seed(0)
     enc = Encoder(cfg, streams.params, streams.protos)
     data_rng = np.random.default_rng(5)
-    x = data_rng.normal(size=(2, cfg.channels, cfg.input_len))
+    x = data_rng.normal(size=(2, 1, cfg.input_len))
     aug_rng = np.random.default_rng(6)
     views = [augment_pair(s, AugmentConfig(), aug_rng) for s in x]
     v1 = np.stack([a for a, _ in views])
@@ -348,7 +346,6 @@ def test_acceptance_gating_purity():
     )
     cfg = EncoderConfig(
         input_len=128,
-        channels=1,
         patch_size=16,
         d_model=64,
         n_heads=4,
@@ -405,11 +402,12 @@ def test_acceptance_ema_law():
     rng = np.random.default_rng(3)
     alpha = 0.05
     target = rng.normal(size=16)
-    bank = PrototypeBank.create(1, 16, rng, ema_alpha=alpha)
+    bank = PrototypeBank(1, 16, rng, ema_alpha=alpha)
     gap0 = np.linalg.norm(bank.P.data[0] - target)
     worst = 0.0
     for t in range(1, 51):
-        ema_update(bank, {0: target})
+        bank.stage(target[None], np.array([0]))
+        bank.apply_ema()
         gap = np.linalg.norm(bank.P.data[0] - target)
         expected = (1.0 - alpha) ** t * gap0
         err = abs(gap - expected) / expected
@@ -438,7 +436,6 @@ def _shift_protocol_run(seed, norm_mode):
     )
     cfg = EncoderConfig(
         input_len=128,
-        channels=1,
         patch_size=16,
         d_model=64,
         n_heads=4,
@@ -504,7 +501,6 @@ def test_acceptance_distribution_shift_direction():
 def test_acceptance_complexity_properties():
     desk = dict(
         input_len=128,
-        channels=1,
         patch_size=16,
         d_model=64,
         n_heads=4,
@@ -525,7 +521,6 @@ def test_acceptance_complexity_properties():
 
     paper = dict(
         input_len=512,
-        channels=1,
         patch_size=50,
         d_model=256,
         n_heads=8,

@@ -29,7 +29,6 @@ from protonorm.training import _count_assignments
 CONFIG = {
     "encoder": dict(
         input_len=32,
-        channels=1,
         patch_size=8,
         d_model=16,
         n_heads=2,
@@ -177,8 +176,9 @@ def test_version_mismatch_rejected(tmp_path):
     save_checkpoint(path, enc, state, CONFIG)
     # version 1 stored one parameter pair per LayerNorm (normJ.lnI.gamma);
     # version 2 stored each bank as {"frozen", "ema_alpha"}, which would
-    # read as a truthy frozen flag here; version 3 stored routing counts
-    for version in (99, 1, 2, 3):
+    # read as a truthy frozen flag here; version 3 stored routing counts;
+    # version 4 embedded an encoder config with a ``channels`` field
+    for version in (99, 1, 2, 3, 4):
         blob = bytearray(path.read_bytes())
         blob[8] = version  # schema version field follows the magic
         versioned = tmp_path / "v.ckpt"

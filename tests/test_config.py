@@ -42,10 +42,10 @@ def _desk_doc(tmp_path):
 @pytest.mark.parametrize(
     "doc, digest",
     [
-        ({}, "f790eef3b83a7aaca1369f60f8134324d6c2e9984f07710e0e6cbce4b02d9727"),
-        (SHIFT_PIPELINE, "a8f7b5010ad31c8e86caf1de79720defd15c03fadf9248d94cf0690c3289a7ed"),
-        ("desk", "72578b99257b8bdbc43b19e1121a5b7c6ec4c80980dbe48eab8018b6d60fbe05"),
-        (PLAIN_WITH_LISTS, "5268daa755487c217108caeea1c600d9f571d22809db24426d8e264fc96f9289"),
+        ({}, "de002c5741628d5c1a05ba93ec543474419a877b5e8bad6f2fcd321b55a8397a"),
+        (SHIFT_PIPELINE, "2c8241075362dd403a13f92fa9c0bf9928c836f1c976ce87d8cad180fb0a1184"),
+        ("desk", "f321917fce9b1fddf161346814ae8c6d4fac149c5fec433552367b4b865861f0"),
+        (PLAIN_WITH_LISTS, "7a490d081f20065131ff03f9b9c3ba4b9ae9de6c8ae6731fc96b684fe3dd3a10"),
     ],
     ids=["empty", "shift-pipeline", "desk", "plain-with-lists"],
 )
@@ -105,7 +105,7 @@ def test_wrongly_typed_value_is_a_config_error(tmp_path, capsys, bad, key):
         {"optim": {"lr_peak": 1}},
         {"finetune": {"n_labeled": 8}},
         {"data": {"finetune_test_path": None}},
-        {"encoder": {"channels": 1}},
+        {"encoder": {"ema_alpha": 1}},
         {"freeze_prototypes": True},
     ],
 )
@@ -120,18 +120,22 @@ def test_well_typed_values_stay_valid(tmp_path, good):
 
 
 BAD_RANGES = [
-    ({"k_datasets": 0}, "data.synthetic.k_datasets"),
-    ({"n_per": -3}, "data.synthetic.n_per"),
-    ({"length": 0}, "data.synthetic.length"),
-    ({"noise_std": -0.1}, "data.synthetic.noise_std"),
-    ({"freq_lo": 9.0, "freq_hi": 8.0}, "data.synthetic.freq_lo"),
+    ({"data": {"synthetic": {"k_datasets": 0}}}, "data.synthetic.k_datasets"),
+    ({"data": {"synthetic": {"n_per": -3}}}, "data.synthetic.n_per"),
+    ({"data": {"synthetic": {"length": 0}}}, "data.synthetic.length"),
+    ({"data": {"synthetic": {"noise_std": -0.1}}}, "data.synthetic.noise_std"),
+    ({"data": {"synthetic": {"freq_lo": 9.0, "freq_hi": 8.0}}}, "data.synthetic.freq_lo"),
+    ({"encoder": {"ema_alpha": 2.0}}, "ema_alpha"),
+    ({"encoder": {"ema_alpha": 0}}, "ema_alpha"),
+    ({"encoder": {"epsilon": 0.0}}, "epsilon"),
+    ({"encoder": {"epsilon": float("nan")}}, "epsilon"),
 ]
 
 
+# The encoder's norm-site settings share this table with the synthetic-data ranges.
 @pytest.mark.parametrize("bad, key", BAD_RANGES, ids=[key for _, key in BAD_RANGES])
 def test_out_of_range_synthetic_value_is_a_config_error(tmp_path, capsys, bad, key):
-    doc = _with(_desk_doc(tmp_path), {"data": {"synthetic": bad}})
-    path = _write(tmp_path, doc, "bad.json")
+    path = _write(tmp_path, _with(_desk_doc(tmp_path), bad), "bad.json")
     with pytest.raises(ConfigError, match=f"^{re.escape(key)} "):
         load_run_config(path, env={})
     out = tmp_path / "runs"
@@ -160,14 +164,15 @@ def test_removed_key_is_refused_as_unknown(tmp_path, capsys, bad, key):
 
 
 def test_multichannel_encoder_is_a_config_error(tmp_path, capsys):
-    """Data files hold univariate series, so an encoder of 2 channels is
-    refused before any run directory exists."""
+    """Data files hold univariate series, so the encoder has no channel
+    count: ``encoder.channels`` is an unknown key, refused before any run
+    directory exists."""
     path = _write(tmp_path, _with(_desk_doc(tmp_path), {"encoder": {"channels": 2}}), "bad.json")
-    with pytest.raises(ConfigError, match="^encoder.channels must be 1, got 2"):
+    with pytest.raises(ConfigError, match="^unknown config key 'encoder.channels'$"):
         load_run_config(path, env={})
     out = tmp_path / "runs"
     assert main(["pretrain", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: encoder.channels must be 1")
+    assert capsys.readouterr().err == "config error: unknown config key 'encoder.channels'\n"
     assert not out.exists()
 
 
@@ -193,6 +198,7 @@ OUT_OF_RANGE_SWEEPS = [
     ("n_prototypes", [0], "sweep.n_prototypes[0]"),
     ("sigma", [0.1, -0.1], "sweep.sigma[1]"),
     ("sigma", [float("nan")], "sweep.sigma[0]"),
+    ("sigma", [], "sweep.sigma"),
 ]
 
 

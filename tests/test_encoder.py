@@ -21,7 +21,6 @@ from protonorm.norm import MODES
 def small_cfg(**kw):
     base = dict(
         input_len=32,
-        channels=1,
         patch_size=8,
         d_model=16,
         n_heads=2,
@@ -92,7 +91,7 @@ def test_identical_samples_identical_rows():
     cfg = small_cfg()
     enc, _ = build(cfg)
     rng = np.random.default_rng(1)
-    one = rng.normal(size=(1, cfg.channels, cfg.input_len))
+    one = rng.normal(size=(1, 1, cfg.input_len))
     batch = np.repeat(one, 5, axis=0)
     out = enc.encode(batch, "pretrain", train=False)
     for i in range(1, 5):
@@ -122,7 +121,6 @@ def test_dataset_indexed_requires_ids():
 def test_patch_embed_gradient_matches_finite_differences():
     cfg = EncoderConfig(
         input_len=16,
-        channels=1,
         patch_size=8,
         d_model=8,
         n_heads=2,
@@ -243,7 +241,6 @@ def test_core_macs_independent_of_prototype_count():
 def test_paper_scale_overhead_under_ten_percent():
     base = dict(
         input_len=512,
-        channels=1,
         patch_size=50,
         d_model=256,
         n_heads=8,

@@ -12,7 +12,6 @@ from protonorm import (
     ProtoNormLayer,
     ShapeError,
     Tensor,
-    ema_update,
     init_orthogonal,
     orthogonality_loss,
 )
@@ -28,7 +27,10 @@ def _ln_ref(x, gamma, beta, eps=1e-8):
 
 def _plain(gamma, beta):
     """A plain-LN site with the given single affine pair."""
-    return ProtoNormLayer(np.asarray(gamma)[None], np.asarray(beta)[None], "plain-LN")
+    layer = ProtoNormLayer(len(gamma), 1, "plain-LN")
+    layer.gamma.data = np.asarray(gamma, dtype=np.float64)[None]
+    layer.beta.data = np.asarray(beta, dtype=np.float64)[None]
+    return layer
 
 
 # -- normalization arithmetic -----------------------------------------------
@@ -58,23 +60,10 @@ def test_layer_norm_dim_mismatch():
     layer = _plain(np.ones(4), np.zeros(4))
     with pytest.raises(ShapeError):
         layer.forward(Tensor(np.zeros((2, 1, 3))))
-    with pytest.raises(ShapeError):  # gamma and beta must share one [n, d] shape
-        ProtoNormLayer(np.ones((1, 4)), np.zeros((1, 3)), "plain-LN")
-    with pytest.raises(ShapeError):
-        ProtoNormLayer(np.ones(4), np.zeros(4), "plain-LN")
-    with pytest.raises(ConfigError):
-        ProtoNormLayer(np.ones((1, 4)), np.zeros((1, 4)), "plain-LN", epsilon=0.0)
-    rng = np.random.default_rng(15)
-    with pytest.raises(ContractError):  # one prototype per gamma/beta row
-        ProtoNormLayer(
-            np.ones((2, 4)), np.zeros((2, 4)), "proto-gated",
-            bank=PrototypeBank.create(3, 4, rng),
-        )
-    with pytest.raises(ShapeError):
-        ProtoNormLayer(
-            np.ones((2, 4)), np.zeros((2, 4)), "proto-gated",
-            bank=PrototypeBank.create(2, 5, rng),
-        )
+    with pytest.raises(ShapeError):  # one [B, T, d] activation, not [B, d]
+        layer.forward(Tensor(np.zeros((2, 4))))
+    gated = ProtoNormLayer(4, 3, "proto-gated", rng=np.random.default_rng(15))
+    assert gated.gamma.shape == gated.beta.shape == gated.bank.P.shape == (3, 4)
 
 
 def test_layer_norm_gradients():
@@ -116,15 +105,20 @@ def test_layer_norm_gradients():
 # -- gate ---------------------------------------------------------------
 
 
-def _bank(P, **kw):
-    return PrototypeBank(Tensor(np.asarray(P, dtype=np.float64), requires_grad=True), **kw)
+def _bank(P, ema_alpha=0.05):
+    """A bank whose drawn prototype rows are replaced by ``P``."""
+    P = np.asarray(P, dtype=np.float64)
+    bank = PrototypeBank(*P.shape, np.random.default_rng(0), ema_alpha)
+    bank.P.data = P
+    return bank
 
 
 def _gated(P):
     """A proto-gated site over the given prototype rows."""
-    bank = _bank(P)
-    return ProtoNormLayer(np.ones((bank.n, bank.dim)), np.zeros((bank.n, bank.dim)),
-                          "proto-gated", bank=bank)
+    P = np.asarray(P, dtype=np.float64)
+    layer = ProtoNormLayer(P.shape[1], P.shape[0], "proto-gated", rng=np.random.default_rng(0))
+    layer.bank.P.data = P
+    return layer
 
 
 def _route(layer, features):
@@ -168,26 +162,26 @@ def test_gate_invariant_to_monotone_distance_transforms():
 
 
 def test_plain_mode_ignores_bank_contents():
+    """A plain site builds one affine row and no bank, whatever prototype
+    count it is given, and routes every sample to that row."""
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(3, 4, 6)))
-    gamma, beta = Tensor(np.ones((1, 6))), Tensor(np.zeros((1, 6)))
-    bank = PrototypeBank.create(1, 6, rng)
-    layer = ProtoNormLayer(gamma, beta, "plain-LN", bank=None)
-    with_bank = ProtoNormLayer(gamma, beta, "plain-LN", bank=bank)
+    layer = ProtoNormLayer(6, 5, "plain-LN", rng=rng)
+    assert layer.bank is None and set(layer.parameters()) == {"gamma", "beta"}
+    assert layer.gamma.shape == (1, 6)
     ref = layer.forward(x)
-    out1 = with_bank.forward(x)
-    bank.P.data[:] = 1e6  # scrambling the bank must change nothing
-    out2 = with_bank.forward(x)
-    assert np.array_equal(ref.data, out1.data)
-    assert np.array_equal(ref.data, out2.data)
-    assert np.allclose(ref.data, _ln_ref(x.data, gamma.data[0], beta.data[0]), rtol=0, atol=1e-12)
+    assert np.array_equal(layer.last_assignments, [0, 0, 0])
+    assert np.array_equal(ref.data, layer.forward(x, dataset_ids=[2, 1, 0]).data)
+    assert np.allclose(ref.data, _ln_ref(x.data, np.ones(6), np.zeros(6)), rtol=0, atol=1e-12)
 
 
 def test_singleton_proto_gated_equals_plain_bitwise():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(4, 5, 8)))
-    gated = ProtoNormLayer.create(8, 1, "proto-gated", rng=rng)
-    plain = ProtoNormLayer(gated.gamma, gated.beta, "plain-LN")
+    gated = ProtoNormLayer(8, 1, "proto-gated", rng=rng)
+    gated.gamma.data = rng.normal(size=(1, 8))
+    gated.beta.data = rng.normal(size=(1, 8))
+    plain = _plain(gated.gamma.data[0], gated.beta.data[0])
     a = gated.forward(x)
     b = plain.forward(x)
     assert np.array_equal(a.data, b.data)
@@ -216,7 +210,7 @@ def test_two_cluster_routing_brute_force():
 def test_routing_consistency_whole_sample_one_param_set():
     rng = np.random.default_rng(5)
     d = 6
-    layer = ProtoNormLayer.create(d, 3, "proto-gated", rng=rng)
+    layer = ProtoNormLayer(d, 3, "proto-gated", rng=rng)
     layer.gamma.data = rng.normal(size=(3, d))
     layer.beta.data = rng.normal(size=(3, d))
     x = Tensor(rng.normal(size=(5, 4, d)))
@@ -225,14 +219,13 @@ def test_routing_consistency_whole_sample_one_param_set():
         per_sample = _ln_ref(x.data[i], layer.gamma.data[sel], layer.beta.data[sel])
         assert np.allclose(out.data[i], per_sample, rtol=0, atol=1e-12)
         # every token of the sample used the same row
-        single = ProtoNormLayer(layer.gamma.data[sel][None], layer.beta.data[sel][None],
-                                "plain-LN")
+        single = _plain(layer.gamma.data[sel], layer.beta.data[sel])
         assert np.array_equal(out.data[i], single.forward(Tensor(x.data[i : i + 1])).data[0])
 
 
 def test_dataset_indexed_routes_strictly_by_id():
     rng = np.random.default_rng(6)
-    layer = ProtoNormLayer.create(4, 3, "dataset-indexed", rng=rng)
+    layer = ProtoNormLayer(4, 3, "dataset-indexed", rng=rng)
     x = Tensor(rng.normal(size=(6, 2, 4)))
     ids = np.array([0, 1, 2, 0, 1, 2])
     layer.forward(x, dataset_ids=ids)
@@ -248,7 +241,7 @@ def test_forward_gradients_through_selected_affine():
     rng = np.random.default_rng(7)
     d = 4
     x0 = rng.normal(size=(3, 2, d))
-    layer = ProtoNormLayer.create(d, 2, "proto-gated", rng=rng)
+    layer = ProtoNormLayer(d, 2, "proto-gated", rng=rng)
     w = rng.normal(size=(3, 2, d))
 
     def loss_fn():
@@ -273,31 +266,43 @@ def test_forward_gradients_through_selected_affine():
 # -- EMA ----------------------------------------------------------------
 
 
+def _ema_step(bank, means):
+    """One EMA step toward ``means[i]`` for each prototype i named, each
+    staged as a single feature row."""
+    idx = np.array(list(means), dtype=np.int64)
+    bank.stage(np.stack([np.asarray(m, dtype=np.float64) for m in means.values()]), idx)
+    bank.apply_ema()
+
+
 def test_ema_full_replacement():
     bank = _bank([[0.0, 0.0]], ema_alpha=1.0)
-    ema_update(bank, {0: np.array([1.0, 1.0])})
+    _ema_step(bank, {0: [1.0, 1.0]})
     assert np.array_equal(bank.P.data[0], [1.0, 1.0])
 
 
 def test_ema_halfway():
     bank = _bank([[0.0, 0.0]], ema_alpha=0.5)
-    ema_update(bank, {0: np.array([1.0, 1.0])})
+    _ema_step(bank, {0: [1.0, 1.0]})
     assert np.array_equal(bank.P.data[0], [0.5, 0.5])
 
 
 def test_ema_unselected_prototype_untouched():
     rng = np.random.default_rng(8)
-    bank = PrototypeBank.create(3, 4, rng, ema_alpha=0.2)
+    bank = PrototypeBank(3, 4, rng, ema_alpha=0.2)
     before = bank.P.data[2].copy()
     for _ in range(100):
-        ema_update(bank, {0: rng.normal(size=4), 1: rng.normal(size=4)})
+        _ema_step(bank, {0: rng.normal(size=4), 1: rng.normal(size=4)})
     assert np.array_equal(bank.P.data[2], before)
 
 
 def test_ema_frozen_is_counted_noop():
-    bank = _bank([[0.0, 0.0]], ema_alpha=0.5, frozen=True)
+    bank = _bank([[0.0, 0.0]], ema_alpha=0.5)
+    bank.frozen = True
     before = bank.P.data.copy()
-    ema_update(bank, {0: np.array([1.0, 1.0])})
+    _ema_step(bank, {0: [1.0, 1.0]})
+    assert np.array_equal(bank.P.data, before)
+    bank.frozen = False  # the frozen step cleared its stage
+    bank.apply_ema()
     assert np.array_equal(bank.P.data, before)
 
 
@@ -305,43 +310,48 @@ def test_ema_contraction_law():
     rng = np.random.default_rng(9)
     alpha = 0.13
     target = rng.normal(size=6)
-    bank = PrototypeBank.create(1, 6, rng, ema_alpha=alpha)
+    bank = PrototypeBank(1, 6, rng, ema_alpha=alpha)
     initial_gap = np.linalg.norm(bank.P.data[0] - target)
     for t in range(1, 51):
-        ema_update(bank, {0: target})
+        _ema_step(bank, {0: target})
         gap = np.linalg.norm(bank.P.data[0] - target)
         expected = (1.0 - alpha) ** t * initial_gap
         assert abs(gap - expected) <= 1e-12 * max(1.0, expected)
 
 
 def test_forward_stages_then_apply_ema_uses_batch_means():
+    """The step is p <- (1 - a) * p + a * mean bit for bit, the mean being
+    the routed features summed in batch order over their count."""
     rng = np.random.default_rng(10)
-    d = 4
-    layer = ProtoNormLayer.create(d, 2, "proto-gated", rng=rng, ema_alpha=0.5)
+    d, a = 4, 0.5
+    layer = ProtoNormLayer(d, 2, "proto-gated", rng=rng, ema_alpha=a)
     p_before = layer.bank.P.data.copy()
     x = rng.normal(size=(6, 3, d))
     layer.forward(Tensor(x), train=True)
     assert np.array_equal(layer.bank.P.data, p_before)  # staged, not applied
     feats = x.mean(axis=1)
     sel = layer.last_assignments
-    layer.apply_ema()
+    layer.bank.apply_ema()
     for j in range(2):
         assigned = feats[sel == j]
         if len(assigned):
-            expect = 0.5 * p_before[j] + 0.5 * assigned.mean(axis=0)
-            assert np.allclose(layer.bank.P.data[j], expect, atol=1e-14)
+            total = np.zeros(d)
+            for row in assigned:
+                total = total + row
+            expect = (1.0 - a) * p_before[j] + a * (total / len(assigned))
+            assert np.array_equal(layer.bank.P.data[j], expect)
         else:
             assert np.array_equal(layer.bank.P.data[j], p_before[j])
 
 
 def test_frozen_bank_bit_stable_across_train_steps():
     rng = np.random.default_rng(11)
-    layer = ProtoNormLayer.create(4, 2, "proto-gated", rng=rng)
+    layer = ProtoNormLayer(4, 2, "proto-gated", rng=rng)
     layer.bank.frozen = True
     before = layer.bank.P.data.copy()
     for _ in range(25):
         layer.forward(Tensor(rng.normal(size=(3, 2, 4))), train=True)
-        layer.apply_ema()
+        layer.bank.apply_ema()
     assert np.array_equal(layer.bank.P.data, before)
 
 
@@ -400,7 +410,12 @@ def test_init_orthogonal_rejects_n_above_d():
 
 
 def test_bank_validation():
-    with pytest.raises(ConfigError):
-        _bank([[1.0, 0.0]], ema_alpha=0.0)
-    with pytest.raises(InputError):
-        _bank([[np.inf, 0.0]])
+    for bad in ({"ema_alpha": 0.0}, {"ema_alpha": 1.5}, {"epsilon": 0.0}, {"epsilon": np.inf}):
+        with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must be"):
+            ProtoNormLayer(4, 2, "proto-gated", rng=np.random.default_rng(0), **bad)
+    with pytest.raises(ContractError):
+        ProtoNormLayer(4, 2, "proto-gated")  # prototypes are drawn from an rng
+    bank = _bank([[0.0, 0.0], [1.0, 0.0]])
+    bank.stage(np.array([[1.0, 1.0], [np.inf, 0.0]]), np.array([0, 1]))
+    with pytest.raises(InputError, match="prototype 1 is non-finite"):
+        bank.apply_ema()

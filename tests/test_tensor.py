@@ -503,7 +503,7 @@ def test_layer_norm_in_place_matches_the_out_of_place_formula(mode, layout):
     rng = np.random.default_rng(22)
     x0 = _activation(rng, layout)
     b = x0.shape[0]
-    layer = ProtoNormLayer.create(6, 3, mode, rng=np.random.default_rng(23))
+    layer = ProtoNormLayer(6, 3, mode, rng=np.random.default_rng(23))
     gamma0 = rng.normal(size=layer.gamma.shape)
     beta0 = rng.normal(size=layer.beta.shape)
     ids = np.arange(b) % layer.n

@@ -493,7 +493,6 @@ def test_stratified_subset_rejects_thin_class():
 def desk_encoder(seed=0, **kw):
     base = dict(
         input_len=32,
-        channels=1,
         patch_size=8,
         d_model=16,
         n_heads=2,
@@ -697,7 +696,7 @@ def test_pretrain_orth_penalty_descends_without_ema():
     cfg, enc, streams = desk_encoder(seed=5, n_prototypes=4, d_model=16, dropout=0.0)
     scramble = np.random.default_rng(9)
     for bank in enc.banks():
-        bank.P.data = scramble.normal(size=bank.P.shape) / math.sqrt(bank.dim)
+        bank.P.data = scramble.normal(size=bank.P.shape) / math.sqrt(bank.P.shape[1])
     enc.apply_ema_updates = lambda: None  # prototypes move by gradient alone
     pool = tiny_pool(n=60)
     result = run_pretrain(enc, streams, pool, seed=5, epochs=7, lam=0.01, batch=8)
