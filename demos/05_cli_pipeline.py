@@ -26,7 +26,7 @@ with tempfile.TemporaryDirectory(prefix="protonorm-demo-") as workdir:
         "optim": {"warmup_steps": 4},
         "pretrain": {"epochs": 2, "batch_size": 8},
         "finetune": {"epochs": 4, "batch_size": 8, "n_labeled": "all"},
-        "data": {"synthetic": {"k_datasets": 2, "n_per": 24, "length": 64}},
+        "data": {"synthetic": {"k_datasets": 2, "n_per": 24}},
         "sweep": {"n_prototypes": [1, 2, 4], "sigma": [], "lambda": []},
     }
     cfg_path = os.path.join(workdir, "config.json")

@@ -175,7 +175,7 @@ def cmd_generate(cfg, out):
             clusters = make_synthetic_clusters(
                 syn.k_datasets,
                 syn.n_per,
-                syn.length,
+                cfg.encoder.input_len,
                 _derived_rng(cfg.seed, 10),
                 noise_std=syn.noise_std,
                 freq_band=(syn.freq_lo, syn.freq_hi),

@@ -118,15 +118,14 @@ def _overrides(env, flags):
 class SyntheticConfig:
     k_datasets: int = 2
     n_per: int = 200
-    length: int | None = None  # falls back to encoder.input_len
     noise_std: float = 0.1
     freq_lo: float = 2.0
     freq_hi: float = 8.0
 
     def __post_init__(self):
-        for key in ("k_datasets", "n_per", "length"):
+        for key in ("k_datasets", "n_per"):
             value = getattr(self, key)
-            if value is not None and value < 1:  # length None follows the encoder
+            if value < 1:
                 raise ConfigError(f"data.synthetic.{key} must be >= 1, got {value}")
         if not 0.0 <= self.noise_std < math.inf:
             raise ConfigError(
@@ -284,8 +283,6 @@ def build_run_config(resolved):
     if data["synthetic"] is not None:
         _check_type("data.synthetic", data["synthetic"], dict)
         syn = _merge(asdict(SyntheticConfig()), data["synthetic"], "data.synthetic")
-        if syn["length"] is None:
-            syn["length"] = enc["input_len"]
         data["synthetic"] = _section("data.synthetic", SyntheticConfig, syn)
     sections = {name: _section(name, cls, docs[name]) for name, cls in SECTIONS.items()}
     return RunConfig(

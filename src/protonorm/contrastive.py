@@ -3,7 +3,8 @@
 Two views per sample: a circular time shift, and a per-sample scale with
 additive Gaussian jitter. The views are pulled together by a normalized
 temperature-scaled cross-entropy over cosine similarities, combined with
-the prototype orthogonality penalty.
+the prototype orthogonality penalty. That loss is ``cross_entropy``, the
+one that also scores the fine-tuning classifier, against each view's twin.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, ContractError, InputError
 from .tensor import Tensor, logsumexp, sqrt
 
 __all__ = [
     "AugmentConfig",
     "NtXentConfig",
     "augment_pair",
+    "cross_entropy",
     "nt_xent",
     "total_loss",
 ]
@@ -84,14 +86,35 @@ def augment_pair(x, cfg, rng):
     return view1, view2
 
 
+def _check_labels(labels, n_classes, what="label"):
+    """Reject an integer class label outside ``[0, n_classes)``."""
+    bad = (labels < 0) | (labels >= n_classes)
+    if bad.any():
+        raise InputError(f"{what} {labels[np.argmax(bad)]} is outside [0, {n_classes})")
+
+
+def cross_entropy(logits, labels):
+    """Mean cross-entropy of [B, K] logits against integer labels."""
+    labels = np.asarray(labels, dtype=np.int64)
+    b, k = logits.shape
+    if labels.shape != (b,):
+        raise ContractError(f"labels shape {labels.shape} != batch {b}")
+    _check_labels(labels, k)
+    onehot = np.zeros((b, k))
+    onehot[np.arange(b), labels] = 1.0
+    lse = logsumexp(logits, axis=1)
+    picked = (logits * onehot).sum(axis=1)
+    return (lse - picked).mean()
+
+
 def nt_xent(z, temperature):
     """Contrastive loss over 2N stacked view embeddings.
 
     Row i pairs with row (i + N) mod 2N: the first N rows are one view of
     each sample, the last N rows the other. Rows are L2-normalized, so
-    similarities are cosines; per anchor the positive's scaled similarity
-    is penalized against the log-sum-exp over all other rows (self
-    excluded), and the result is averaged over all 2N anchors.
+    similarities are cosines; each anchor's scaled similarities to all
+    other rows (self excluded) are its logits, and the loss is their
+    cross-entropy against the positive, averaged over all 2N anchors.
     """
     if temperature <= 0.0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
@@ -110,12 +133,7 @@ def nt_xent(z, temperature):
     # out of the log-sum-exp exactly.
     mask = np.where(np.eye(rows, dtype=bool), -1e9, 0.0)
     logits = sims * (1.0 / temperature) + mask
-    denom = logsumexp(logits, axis=1)
-    pos_index = (np.arange(rows) + n) % rows
-    pos_onehot = np.zeros((rows, rows))
-    pos_onehot[np.arange(rows), pos_index] = 1.0
-    positives = (logits * pos_onehot).sum(axis=1)
-    return (denom - positives).mean()
+    return cross_entropy(logits, (np.arange(rows) + n) % rows)
 
 
 def total_loss(nt, orth_losses, lambda_orth):

@@ -185,14 +185,14 @@ def link_atomic(source, path):
     os.replace(tmp, path)
 
 
-def save_ucr_tsv(ds, path, delimiter="\t"):
-    """Write a dataset back out in the same text format (full float
-    precision via repr, so regeneration is byte-deterministic), whole or
-    not at all."""
+def save_ucr_tsv(ds, path):
+    """Write a dataset back out in the same text format, tab-separated
+    (full float precision via repr, so regeneration is byte-deterministic),
+    whole or not at all."""
     lines = []
     for s, label in zip(ds.series, ds.labels):
         flat = s.ravel()
-        lines.append(delimiter.join([str(int(label))] + [repr(float(v)) for v in flat]) + "\n")
+        lines.append("\t".join([str(int(label))] + [repr(float(v)) for v in flat]) + "\n")
     write_atomic(path, "".join(lines).encode("utf-8"))
 
 
@@ -229,12 +229,12 @@ def make_shifted_variant(ds, noise_std, rng=None, name=None, dataset_id=None):
         series = ds.series.copy()
     else:
         series = ds.series + rng.normal(0.0, noise_std, ds.series.shape)
-    return Dataset(
+    return replace(
+        ds,
         name=name or f"{ds.name}-noise{noise_std:g}",
         series=series,
         labels=ds.labels.copy(),
         dataset_id=ds.dataset_id + 1 if dataset_id is None else dataset_id,
-        split=ds.split,
     )
 
 
@@ -319,16 +319,8 @@ def train_val_split(ds, val_fraction=0.2, rng=None):
     n = len(ds)
     n_val = int(round(n * val_fraction))
     order = rng.permutation(n) if rng is not None else np.arange(n)
-    val_idx = order[:n_val]
-    train_idx = order[n_val:]
 
     def take(idx, split):
-        return Dataset(
-            name=ds.name,
-            series=ds.series[idx],
-            labels=ds.labels[idx],
-            dataset_id=ds.dataset_id,
-            split=split,
-        )
+        return replace(ds, series=ds.series[idx], labels=ds.labels[idx], split=split)
 
-    return take(train_idx, "train"), take(val_idx, "val")
+    return take(order[n_val:], "train"), take(order[:n_val], "val")

@@ -66,6 +66,11 @@ class EncoderConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.n_prototypes < 1:
             raise ConfigError(f"n_prototypes must be >= 1, got {self.n_prototypes}")
+        if self.norm_mode == "proto-gated" and self.n_prototypes > self.d_model:
+            raise ConfigError(
+                f"n_prototypes {self.n_prototypes} exceeds d_model {self.d_model}: "
+                "a proto-gated bank needs orthonormal rows"
+            )
         for field in ("input_len", "patch_size", "d_model", "n_heads", "n_layers"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1")
@@ -135,7 +140,7 @@ class MultiHeadAttention:
         q = self._split(self.wq(x), b, t)
         k = self._split(self.wk(x), b, t)
         v = self._split(self.wv(x), b, t)
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
+        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.d_head))
         attn = softmax(scores, axis=-1)
         ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, self.d_model)
         return self.wo(ctx)

@@ -5,8 +5,8 @@ sites and its losses call: the layers ``linear`` and ``layer_norm`` (one
 node each), ``matmul`` over equal batch dims (no broadcasting),
 elementwise ``+ - * /`` (``scalar * tensor`` is the only reflected
 operator), ``exp``, ``log``, ``sqrt``, ``relu``, ``dropout``, ``sum``,
-``mean``, ``reshape``, ``transpose``, ``swapaxes``, ``concat``,
-``softmax`` and ``logsumexp``. Each operation records a node: the graph
+``mean``, ``reshape``, ``transpose``, ``concat``, ``softmax`` and
+``logsumexp``. Each operation records a node: the graph
 records of its inputs and a backward closure. ``Tensor.backward`` walks
 the recorded graph once in reverse topological order and accumulates
 gradients into every reachable tensor with ``requires_grad``. Only leaves
@@ -206,11 +206,6 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         return _transpose(self, axes if axes else None)
-
-    def swapaxes(self, a, b):
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return _transpose(self, tuple(axes))
 
 
 def _wrap(x):
@@ -507,15 +502,13 @@ def softmax(x, axis=-1):
     return div(e, e.sum(axis, keepdims=True))
 
 
-def logsumexp(x, axis=-1, keepdims=False):
+def logsumexp(x, axis=-1):
     x = _wrap(x)
     if not -x.ndim <= axis < x.ndim:
         raise InputError(f"logsumexp axis {axis} invalid for ndim {x.ndim}")
     m = x.data.max(axis=axis, keepdims=True)
     s = exp(sub(x, m)).sum(axis, keepdims=True)
     out = add(log(s), m)
-    if keepdims:
-        return out
     shape = list(out.shape)
     shape.pop(axis % x.ndim)
     return out.reshape(shape)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contrastive import augment_pair, nt_xent, total_loss
-from .data import Dataset, batches, flatten_pool, link_atomic
+from .contrastive import _check_labels, augment_pair, cross_entropy, nt_xent, total_loss
+from .data import batches, flatten_pool, link_atomic
 from .errors import (
     ConfigError,
     ContractError,
@@ -27,7 +27,7 @@ from .errors import (
     TrainingDiverged,
 )
 from .norm import orthogonality_loss
-from .tensor import concat, logsumexp, no_grad
+from .tensor import concat, no_grad
 
 __all__ = [
     "FinetuneResult",
@@ -95,7 +95,6 @@ class OptimConfig:
     betas: tuple[float, ...] = (0.9, 0.999)
     eps: float = 1e-8
     warmup_steps: int = 2000
-    total_steps: int | None = None
     lr_floor: float = 0.0
 
     def __post_init__(self):
@@ -115,16 +114,6 @@ class OptimConfig:
             raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be >= 0")
-        if self.total_steps is not None and self.warmup_steps > self.total_steps:
-            raise ConfigError(
-                f"warmup_steps {self.warmup_steps} exceeds total_steps "
-                f"{self.total_steps}; override warmup for short runs"
-            )
-
-    def resolved(self, total_steps):
-        if self.total_steps is not None:
-            return self
-        return replace(self, total_steps=total_steps)
 
 
 @dataclass
@@ -140,21 +129,16 @@ class TrainState:
     best_val: float = math.inf
 
 
-def cosine_warmup_lr(step, cfg):
+def cosine_warmup_lr(step, cfg, total_steps):
     """Linear ramp to lr_peak over the warmup, then half-cosine decay to
-    lr_floor at total_steps (clamped beyond)."""
-    if cfg.total_steps is None:
-        raise ContractError("total_steps must be resolved before scheduling")
+    lr_floor at ``total_steps``, the run's step count that ``_schedule``
+    works out (clamped beyond)."""
     if step < 0:
         raise InputError(f"schedule step must be >= 0, got {step}")
     w = cfg.warmup_steps
-    if w > cfg.total_steps:
-        raise ConfigError(
-            f"warmup_steps {w} exceeds total_steps {cfg.total_steps}"
-        )
     if w > 0 and step < w:
         return cfg.lr_peak * step / w
-    span = cfg.total_steps - w
+    span = total_steps - w
     if span == 0:
         return cfg.lr_peak if step <= w else cfg.lr_floor
     progress = min((step - w) / span, 1.0)
@@ -245,25 +229,33 @@ def adamw_step(params, state, lr, cfg):
                 pi -= s1
 
 
-def _step(loss, params, state, optim, phase):
+def _step(loss, params, state, optim, total_steps, phase):
     """The one optimizer step of both loops: reject a non-finite ``loss``,
-    clear the gradients, backprop, then AdamW at the scheduled lr of the
-    step taken, which it returns. A diverged loss changes nothing."""
+    clear the gradients, backprop, then AdamW at the lr the schedule of
+    ``total_steps`` gives the step taken, which it returns. A diverged
+    loss changes nothing."""
     if not math.isfinite(loss.item()):
         raise TrainingDiverged(f"{phase} loss became non-finite at step {state.step + 1}")
     for p in params.values():
         p.grad = None
     loss.backward()
-    lr = cosine_warmup_lr(state.step + 1, optim)
+    lr = cosine_warmup_lr(state.step + 1, optim, total_steps)
     adamw_step(params, state, lr, optim)
     return lr
 
 
 def _schedule(optim_cfg, epochs, n, batch_size):
-    """``optim_cfg`` resolved to ``epochs`` epochs of ``n`` samples in batches."""
+    """The step count of ``epochs`` epochs of ``n`` samples in batches, the
+    one length of a run's schedule; a warmup longer than it is refused."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    return optim_cfg.resolved(epochs * math.ceil(n / batch_size))
+    total_steps = epochs * math.ceil(n / batch_size)
+    if optim_cfg.warmup_steps > total_steps:
+        raise ConfigError(
+            f"warmup_steps {optim_cfg.warmup_steps} exceeds total_steps "
+            f"{total_steps}; override warmup for short runs"
+        )
+    return total_steps
 
 
 def _epoch_batches(union, state, batch_size):
@@ -298,13 +290,6 @@ def _release_optimizer_state(state, params):
 # -- metrics ---------------------------------------------------------------
 
 
-def _check_labels(labels, n_classes, what="label"):
-    """Reject an integer class label outside ``[0, n_classes)``."""
-    bad = (labels < 0) | (labels >= n_classes)
-    if bad.any():
-        raise InputError(f"{what} {labels[np.argmax(bad)]} is outside [0, {n_classes})")
-
-
 @dataclass
 class Metrics:
     accuracy: float
@@ -324,19 +309,13 @@ class Metrics:
         conf = np.zeros((n_classes, n_classes), dtype=np.int64)
         np.add.at(conf, (y_true, y_pred), 1)
         accuracy = np.trace(conf) / conf.sum()
-        f1 = np.zeros(n_classes)
-        for k in range(n_classes):
-            tp = conf[k, k]
-            support = conf[k].sum()
-            predicted = conf[:, k].sum()
-            # zero-support (and zero-prediction) classes contribute F1 = 0
-            precision = tp / predicted if predicted else 0.0
-            recall = tp / support if support else 0.0
-            f1[k] = (
-                2.0 * precision * recall / (precision + recall)
-                if precision + recall
-                else 0.0
-            )
+        tp, predicted, support = np.diag(conf), conf.sum(axis=0), conf.sum(axis=1)
+        # zero-support (and zero-prediction) classes contribute F1 = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            precision = np.where(predicted > 0, tp / predicted, 0.0)
+            recall = np.where(support > 0, tp / support, 0.0)
+            both = precision + recall
+            f1 = np.where(both > 0, 2.0 * precision * recall / both, 0.0)
         return cls(
             accuracy=float(accuracy),
             macro_f1=float(f1.mean()),
@@ -352,20 +331,6 @@ class Metrics:
             "confusion": self.confusion.tolist(),
             "assignment_histograms": self.assignment_histograms,
         }
-
-
-def cross_entropy(logits, labels):
-    """Mean cross-entropy of [B, K] logits against integer labels."""
-    labels = np.asarray(labels, dtype=np.int64)
-    b, k = logits.shape
-    if labels.shape != (b,):
-        raise ContractError(f"labels shape {labels.shape} != batch {b}")
-    _check_labels(labels, k)
-    onehot = np.zeros((b, k))
-    onehot[np.arange(b), labels] = 1.0
-    lse = logsumexp(logits, axis=1)
-    picked = (logits * onehot).sum(axis=1)
-    return (lse - picked).mean()
 
 
 def _count_assignments(histograms, encoder):
@@ -519,7 +484,7 @@ def pretrain(
         )
     streams = state.streams
     union = flatten_pool(pool)
-    optim = _schedule(optim_cfg, epochs, len(union), batch_size)
+    total_steps = _schedule(optim_cfg, epochs, len(union), batch_size)
     all_params = encoder.parameters()
     rows = []
     histograms = {}
@@ -550,7 +515,7 @@ def pretrain(
                 histograms=histograms,
             )
             try:
-                lr = _step(loss, all_params, state, optim, "pretraining")
+                lr = _step(loss, all_params, state, optim_cfg, total_steps, "pretraining")
             except TrainingDiverged as e:
                 if paths["last"] is None:
                     raise
@@ -620,13 +585,7 @@ def stratified_subset(ds, n_labeled, rng, min_per_class=5):
             [chosen, rng.choice(leftover, size=remaining, replace=False)]
         )
     chosen = np.sort(chosen)
-    return Dataset(
-        name=ds.name,
-        series=ds.series[chosen],
-        labels=ds.labels[chosen],
-        dataset_id=ds.dataset_id,
-        split=ds.split,
-    )
+    return replace(ds, series=ds.series[chosen], labels=ds.labels[chosen])
 
 
 @dataclass
@@ -664,7 +623,7 @@ def finetune(
     n_classes = int(max((ds.labels.max() for ds in splits if len(ds)), default=0)) + 1
     subset = stratified_subset(train_ds, n_labeled, streams.subset)
     union = flatten_pool(subset)
-    optim = _schedule(optim_cfg, epochs, len(union), batch_size)
+    total_steps = _schedule(optim_cfg, epochs, len(union), batch_size)
 
     encoder.drop_projection_head()
     encoder.set_banks_frozen(True)
@@ -688,7 +647,7 @@ def finetune(
                 dataset_ids=batch.dataset_ids,
             )
             loss = cross_entropy(logits, batch.labels)
-            lr = _step(loss, all_params, state, optim, "fine-tuning")
+            lr = _step(loss, all_params, state, optim_cfg, total_steps, "fine-tuning")
             rows.append((state.step, lr, loss.item()))
         for i, (bank, before) in enumerate(zip(encoder.banks(), proto_snapshot)):
             if not np.array_equal(bank.P.data, before):

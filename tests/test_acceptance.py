@@ -560,7 +560,7 @@ def _write_cli_config(tmp_path, gen_dir=None):
         "optim": {"warmup_steps": 3},
         "pretrain": {"epochs": 2, "batch_size": 8},
         "finetune": {"epochs": 2, "batch_size": 8, "n_labeled": "all"},
-        "data": {"synthetic": {"k_datasets": 2, "n_per": 12, "length": 64}},
+        "data": {"synthetic": {"k_datasets": 2, "n_per": 12}},
     }
     if gen_dir is not None:
         doc["data"]["pretrain_paths"] = [

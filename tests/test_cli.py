@@ -17,7 +17,7 @@ from protonorm import (
 from protonorm.cli import main
 from protonorm.config import load_run_config
 from protonorm.encoder import count_parameters
-from protonorm.errors import ConfigError
+from protonorm.errors import ConfigError, TrainingDiverged
 
 
 def desk_config(tmp_path, **data):
@@ -36,7 +36,7 @@ def desk_config(tmp_path, **data):
         "pretrain": {"epochs": 1, "batch_size": 8},
         "finetune": {"epochs": 2, "batch_size": 8, "n_labeled": "all"},
         "data": {
-            "synthetic": {"k_datasets": 2, "n_per": 16, "length": 32},
+            "synthetic": {"k_datasets": 2, "n_per": 16},
             **data,
         },
     }
@@ -499,7 +499,9 @@ def test_freeze_prototypes_flag_parses(tmp_path):
         load_run_config(cfg_path, flags={"freeze_prototypes": "maybe"})
 
 
-def test_sweep_rows_and_failed_leg(tmp_path):
+def test_sweep_rows_and_failed_leg(tmp_path, monkeypatch):
+    import protonorm.cli as cli
+
     cfg = desk_config(tmp_path)
     out = tmp_path / "runs"
     run(["generate", "--config", cfg, "--out", out])
@@ -507,16 +509,24 @@ def test_sweep_rows_and_failed_leg(tmp_path):
     doc = json.loads((tmp_path / "config.json").read_text())
     doc["data"]["pretrain_paths"] = [os.path.join(gen_dir, "cluster0.tsv")]
     doc["data"]["finetune_train_path"] = os.path.join(gen_dir, "cluster0.tsv")
-    doc["sweep"] = {"n_prototypes": [1, 2, 40], "sigma": [], "lambda": [0.0, 0.001]}
+    doc["sweep"] = {"n_prototypes": [1, 2, 3], "sigma": [], "lambda": [0.0, 0.001]}
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(doc))
+    real_run_leg = cli._run_leg
+
+    def run_leg_failing_at_three(leg_cfg, axis):
+        if leg_cfg.encoder.n_prototypes == 3:
+            raise TrainingDiverged("pretraining loss became non-finite at step 1")
+        return real_run_leg(leg_cfg, axis)
+
+    monkeypatch.setattr(cli, "_run_leg", run_leg_failing_at_three)
     assert run(["sweep", "n_prototypes", "--config", cfg_path, "--out", out]) == 0
     sweep_dir = only_run_dir(out, "sweep-n_prototypes-")
     lines = open(os.path.join(sweep_dir, "sweep.csv")).read().strip().splitlines()
     assert lines[0] == "axis,value,accuracy,macro_f1,param_count,runtime_s,status"
     assert len(lines) == 4
     cfg_obj = load_run_config(cfg_path)
-    for line, n in zip(lines[1:], (1, 2, 40)):
+    for line, n in zip(lines[1:], (1, 2, 3)):
         fields = line.split(",")
         leg_resolved = json.loads(json.dumps(cfg_obj.resolved))
         leg_resolved["encoder"]["n_prototypes"] = n
@@ -525,8 +535,8 @@ def test_sweep_rows_and_failed_leg(tmp_path):
         expected = count_parameters(build_run_config(leg_resolved).encoder)
         assert fields[0] == "n_prototypes"
         assert int(fields[4]) == expected
-    # n_prototypes=40 > d_model=16 must fail that leg but not the sweep
-    assert "failed" in lines[3]
+    # a leg that fails is marked so, and does not stop the sweep
+    assert lines[3].endswith(",failed: TrainingDiverged: pretraining loss became non-finite at step 1")
     assert "ok" in lines[1] and "ok" in lines[2]
 
 

@@ -42,10 +42,10 @@ def _desk_doc(tmp_path):
 @pytest.mark.parametrize(
     "doc, digest",
     [
-        ({}, "de002c5741628d5c1a05ba93ec543474419a877b5e8bad6f2fcd321b55a8397a"),
-        (SHIFT_PIPELINE, "2c8241075362dd403a13f92fa9c0bf9928c836f1c976ce87d8cad180fb0a1184"),
-        ("desk", "f321917fce9b1fddf161346814ae8c6d4fac149c5fec433552367b4b865861f0"),
-        (PLAIN_WITH_LISTS, "7a490d081f20065131ff03f9b9c3ba4b9ae9de6c8ae6731fc96b684fe3dd3a10"),
+        ({}, "e3ae110b41dbeebacf11bba83c0d22b2d48cbd795f2e95857b2c9f873774eb1a"),
+        (SHIFT_PIPELINE, "2b1b88b353093928f64fa670cd265b9a74106f0be4666796cd79061f5881e5e7"),
+        ("desk", "5b3a611532f892249c62cea773305b684bfef9e626b86bfa624b6e50feac27b8"),
+        (PLAIN_WITH_LISTS, "015853bdacdcaf149c1c60f53356c58113e116a587908b406f479cc56152dc30"),
     ],
     ids=["empty", "shift-pipeline", "desk", "plain-with-lists"],
 )
@@ -122,7 +122,6 @@ def test_well_typed_values_stay_valid(tmp_path, good):
 BAD_RANGES = [
     ({"data": {"synthetic": {"k_datasets": 0}}}, "data.synthetic.k_datasets"),
     ({"data": {"synthetic": {"n_per": -3}}}, "data.synthetic.n_per"),
-    ({"data": {"synthetic": {"length": 0}}}, "data.synthetic.length"),
     ({"data": {"synthetic": {"noise_std": -0.1}}}, "data.synthetic.noise_std"),
     ({"data": {"synthetic": {"freq_lo": 9.0, "freq_hi": 8.0}}}, "data.synthetic.freq_lo"),
     ({"encoder": {"ema_alpha": 2.0}}, "ema_alpha"),
@@ -166,14 +165,21 @@ def test_removed_key_is_refused_as_unknown(tmp_path, capsys, bad, key):
 def test_multichannel_encoder_is_a_config_error(tmp_path, capsys):
     """Data files hold univariate series, so the encoder has no channel
     count: ``encoder.channels`` is an unknown key, refused before any run
-    directory exists."""
-    path = _write(tmp_path, _with(_desk_doc(tmp_path), {"encoder": {"channels": 2}}), "bad.json")
-    with pytest.raises(ConfigError, match="^unknown config key 'encoder.channels'$"):
-        load_run_config(path, env={})
-    out = tmp_path / "runs"
-    assert main(["pretrain", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: unknown config key 'encoder.channels'\n"
-    assert not out.exists()
+    directory exists. So are the values a run works out for itself: the
+    schedule's step count (``optim.total_steps``) and the synthetic series
+    length, which is ``encoder.input_len``."""
+    for bad, key in [
+        ({"encoder": {"channels": 2}}, "encoder.channels"),
+        ({"optim": {"total_steps": 100}}, "optim.total_steps"),
+        ({"data": {"synthetic": {"k_datasets": 2, "length": 32}}}, "data.synthetic.length"),
+    ]:
+        path = _write(tmp_path, _with(_desk_doc(tmp_path), bad), "bad.json")
+        with pytest.raises(ConfigError, match=f"^unknown config key {re.escape(repr(key))}$"):
+            load_run_config(path, env={})
+        out = tmp_path / "runs"
+        assert main(["pretrain", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config key {key!r}\n"
+        assert not out.exists()
 
 
 BAD_SWEEPS = [
@@ -196,6 +202,7 @@ def test_wrongly_typed_sweep_axis_is_a_config_error(tmp_path, capsys, axis, valu
 OUT_OF_RANGE_SWEEPS = [
     ("lambda", [0.0, -1.0], "sweep.lambda[1]"),
     ("n_prototypes", [0], "sweep.n_prototypes[0]"),
+    ("n_prototypes", [1, 2, 40], "sweep.n_prototypes[2]"),
     ("sigma", [0.1, -0.1], "sweep.sigma[1]"),
     ("sigma", [float("nan")], "sweep.sigma[0]"),
     ("sigma", [], "sweep.sigma"),

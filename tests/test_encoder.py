@@ -82,6 +82,9 @@ def test_config_validation():
         small_cfg(dropout=1.0)
     with pytest.raises(ConfigError):
         small_cfg(norm_mode="other")
+    with pytest.raises(ConfigError, match="^n_prototypes 17 exceeds d_model 16"):
+        small_cfg(n_prototypes=17)
+    small_cfg(n_prototypes=17, norm_mode="plain-LN")  # no bank to orthonormalize
 
 
 # -- forward -----------------------------------------------------------
@@ -218,20 +221,21 @@ def test_parameter_count_walk_in_every_mode(mode):
 
 
 def test_parameter_delta_formulas():
-    plain = small_cfg(norm_mode="plain-LN")
+    # d_model 32: a proto-gated config takes at most d_model prototypes
+    plain = small_cfg(norm_mode="plain-LN", d_model=32)
     for n in (1, 4, 32):
-        gated = small_cfg(n_prototypes=n)
+        gated = small_cfg(n_prototypes=n, d_model=32)
         delta = count_parameters(gated) - count_parameters(plain)
         sites = 2 * gated.n_layers
         expected = sites * (n - 1) * 2 * gated.d_model + sites * n * gated.d_model
         assert delta == expected
     # n=1: prototype vectors only
-    one = small_cfg(n_prototypes=1)
+    one = small_cfg(n_prototypes=1, d_model=32)
     assert count_parameters(one) - count_parameters(plain) == 2 * one.n_layers * one.d_model
 
 
 def test_core_macs_independent_of_prototype_count():
-    macs = {n: count_forward_macs(small_cfg(n_prototypes=n)) for n in (4, 64)}
+    macs = {n: count_forward_macs(small_cfg(n_prototypes=n, d_model=64)) for n in (4, 64)}
     assert macs[4].core == macs[64].core
     assert macs[64].gating == 16 * macs[4].gating / 1  # scales linearly: 64/4
     cfg = small_cfg(n_prototypes=8)

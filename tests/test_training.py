@@ -45,37 +45,56 @@ from protonorm.training import ADAMW_CHUNK
 # -- schedule -----------------------------------------------------------
 
 
-def sched(total=100, warmup=10, peak=1e-3, floor=0.0):
-    return OptimConfig(lr_peak=peak, warmup_steps=warmup, total_steps=total, lr_floor=floor)
+def sched(warmup=10, peak=1e-3, floor=0.0):
+    return OptimConfig(lr_peak=peak, warmup_steps=warmup, lr_floor=floor)
 
 
 def test_schedule_warmup_endpoint_exact():
     cfg = sched()
-    assert cosine_warmup_lr(10, cfg) == cfg.lr_peak
+    assert cosine_warmup_lr(10, cfg, 100) == cfg.lr_peak
 
 
 def test_schedule_final_step_hits_floor_exactly():
     cfg = sched(floor=0.0)
-    assert cosine_warmup_lr(100, cfg) == 0.0
+    assert cosine_warmup_lr(100, cfg, 100) == 0.0
     cfg2 = sched(floor=1e-5)
-    assert cosine_warmup_lr(100, cfg2) == 1e-5
+    assert cosine_warmup_lr(100, cfg2, 100) == 1e-5
 
 
 def test_schedule_midpoint():
-    cfg = sched(total=110, warmup=10, peak=2e-3, floor=4e-4)
-    mid = cosine_warmup_lr(60, cfg)  # warmup + half the remaining span
+    cfg = sched(warmup=10, peak=2e-3, floor=4e-4)
+    mid = cosine_warmup_lr(60, cfg, 110)  # warmup + half the remaining span
     assert abs(mid - (2e-3 + 4e-4) / 2) < 1e-15
 
 
 def test_schedule_ramp_is_linear():
     cfg = sched()
-    assert cosine_warmup_lr(0, cfg) == 0.0
-    assert abs(cosine_warmup_lr(5, cfg) - cfg.lr_peak / 2) < 1e-18
+    assert cosine_warmup_lr(0, cfg, 100) == 0.0
+    assert abs(cosine_warmup_lr(5, cfg, 100) - cfg.lr_peak / 2) < 1e-18
 
 
-def test_schedule_rejects_warmup_beyond_total():
-    with pytest.raises(ConfigError):
-        OptimConfig(warmup_steps=200, total_steps=100)
+def test_schedule_rejects_warmup_beyond_total(tmp_path):
+    """The run works out its step count (here 1 epoch of 48 samples in
+    batches of 8: 6 steps), and both loops refuse a longer warmup before
+    any step, checkpoint or change to the encoder."""
+    cfg, enc, streams = desk_encoder()
+    before = {k: t.data.copy() for k, t in enc.parameters().items()}
+    message = "^warmup_steps 7 exceeds total_steps 6; override warmup for short runs$"
+    with pytest.raises(ConfigError, match=message):
+        pretrain(
+            tiny_pool(), enc, AugmentConfig(), NtXentConfig(), OptimConfig(warmup_steps=7),
+            epochs=1, batch_size=8, seed=0, state=TrainState(streams=streams),
+            out_dir=str(tmp_path),
+        )
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigError, match=message):  # 48 training series too
+        finetune(
+            separable_task(), enc, OptimConfig(warmup_steps=7),
+            epochs=1, batch_size=8, n_labeled="all", seed=0,
+        )
+    after = enc.parameters()
+    assert after.keys() == before.keys()
+    assert all(np.array_equal(after[k].data, v) for k, v in before.items())
 
 
 # -- AdamW ----------------------------------------------------------------
@@ -83,7 +102,7 @@ def test_schedule_rejects_warmup_beyond_total():
 
 def test_adamw_moves_against_constant_gradient():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    cfg = OptimConfig(weight_decay=0.0, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=0.0, warmup_steps=0)
     state = TrainState(streams=RngStreams.from_seed(0))
     values = [p.data[0]]
     for _ in range(50):
@@ -96,7 +115,7 @@ def test_adamw_moves_against_constant_gradient():
 
 def test_adamw_pure_decay_with_zero_gradient():
     p = Tensor(np.array([4.0]), requires_grad=True)
-    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0)
     state = TrainState(streams=RngStreams.from_seed(0))
     lr = 1e-2
     for t in range(1, 11):
@@ -107,7 +126,7 @@ def test_adamw_pure_decay_with_zero_gradient():
 
 def test_adamw_skips_parameters_without_gradient():
     p = Tensor(np.array([4.0]), requires_grad=True)
-    cfg = OptimConfig(weight_decay=0.5, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=0.5, warmup_steps=0)
     state = TrainState(streams=RngStreams.from_seed(0))
     p.grad = None
     adamw_step({"p": p}, state, 1e-2, cfg)
@@ -118,7 +137,7 @@ def test_adamw_single_step_hand_formula():
     g = 0.37
     lr = 1e-3
     wd = 1e-5
-    cfg = OptimConfig(weight_decay=wd, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=wd, warmup_steps=0)
     p = Tensor(np.array([2.0]), requires_grad=True)
     p.grad = np.array([g])
     state = TrainState(streams=RngStreams.from_seed(0))
@@ -136,7 +155,7 @@ def test_adamw_aborts_on_nan_gradient_naming_parameter():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([np.nan])
     state = TrainState(streams=RngStreams.from_seed(0))
-    cfg = OptimConfig(warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(warmup_steps=0)
     with pytest.raises(TrainingDiverged, match="'weird.w'"):
         adamw_step({"weird.w": p}, state, 1e-3, cfg)
 
@@ -147,7 +166,7 @@ def test_adamw_nan_gradient_leaves_everything_untouched():
     keep their bits."""
     rng = np.random.default_rng(4)
     params = {n: Tensor(rng.normal(size=(3, 2)), requires_grad=True) for n in "abc"}
-    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0)
     state = TrainState(streams=RngStreams.from_seed(0))
     for p in params.values():
         p.grad = rng.normal(size=p.shape)
@@ -202,7 +221,7 @@ def test_adamw_in_place_update_equals_the_out_of_place_formula(wd):
     params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
     ref = {n: p.data.copy() for n, p in params.items()}
     moments = {n: [0.0, 0.0] for n in shapes if n != "frozen"}
-    cfg = OptimConfig(weight_decay=wd, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=wd, warmup_steps=0)
     state = TrainState(streams=RngStreams.from_seed(0))
     for t in range(1, 5):
         lr = 1e-2 / t
@@ -224,7 +243,7 @@ def test_adamw_blocks_equal_the_out_of_place_formula(wd):
     params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
     ref = {n: p.data.copy() for n, p in params.items()}
     moments = {n: [0.0, 0.0] for n in shapes}
-    cfg = OptimConfig(weight_decay=wd, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=wd, warmup_steps=0)
     state = TrainState(streams=RngStreams.from_seed(0))
     for t in range(1, 4):
         lr = 1e-2 / t
@@ -242,7 +261,7 @@ def test_adamw_inf_in_the_last_block_leaves_everything_untouched():
     for transposed in (False, True):
         rng = np.random.default_rng(7)
         params = {n: Tensor(rng.normal(size=(3, 7001)), requires_grad=True) for n in "ab"}
-        cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
+        cfg = OptimConfig(weight_decay=0.1, warmup_steps=0)
         state = TrainState(streams=RngStreams.from_seed(0))
         for p in params.values():
             p.grad = rng.normal(size=p.shape)
@@ -276,7 +295,7 @@ def test_adamw_steps_arrays_that_are_not_c_contiguous_in_place():
     assert not any(a.flags.c_contiguous for n, a in arrays.items() if n != "fortran_grad")
     ref = {n: p.data.copy() for n, p in params.items()}
     moments = {n: [0.0, 0.0] for n in params}
-    cfg = OptimConfig(weight_decay=0.05, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=0.05, warmup_steps=0)
     state = TrainState(streams=RngStreams.from_seed(0))
     for t in range(1, 4):
         for p in params.values():
@@ -302,7 +321,7 @@ def test_adamw_step_is_within_8_ulp_of_the_textbook_step(t):
     exactly; v spans sqrt(v) far below and far above eps."""
     rng = np.random.default_rng(10)
     n = 3 * ADAMW_CHUNK + 11
-    cfg = OptimConfig(weight_decay=0.05, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=0.05, warmup_steps=0)
     b1, b2 = cfg.betas
     g = rng.normal(size=n) * np.exp(rng.uniform(-20.0, 5.0, size=n))
     m0 = rng.normal(size=n) * np.exp(rng.uniform(-20.0, 5.0, size=n))
@@ -331,7 +350,7 @@ def test_adamw_squared_norm_check_leaves_everything_untouched(case):
     gradient is caught through its flattened copy."""
     rng = np.random.default_rng(11)
     params = {n: Tensor(rng.normal(size=(40, 30)), requires_grad=True) for n in "abc"}
-    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0)
     state = TrainState(streams=RngStreams.from_seed(0))
     for p in params.values():
         p.grad = rng.normal(size=p.shape)
@@ -359,7 +378,7 @@ def test_adamw_squared_norm_check_leaves_everything_untouched(case):
 def test_adamw_shape_mismatch_raises_before_anything_changes(where):
     rng = np.random.default_rng(9)
     params = {n: Tensor(rng.normal(size=(2, 3)), requires_grad=True) for n in ("a", "odd")}
-    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0, total_steps=1)
+    cfg = OptimConfig(weight_decay=0.1, warmup_steps=0)
     state = TrainState(streams=RngStreams.from_seed(0))
     for p in params.values():
         p.grad = rng.normal(size=p.shape)
