@@ -36,7 +36,7 @@ from .data import (
     write_atomic,
 )
 from .encoder import Encoder, count_parameters
-from .errors import ConfigError, ProtoNormError
+from .errors import ConfigError, InputError, ProtoNormError
 from .training import (
     RngStreams,
     TrainState,
@@ -143,20 +143,24 @@ def _load_pretrain_pool(cfg):
     return train_pool, (val_pool or None)
 
 
-def _load_finetune_test(cfg):
-    """The fine-tuning test file, standardized alone, so ``finetune`` and
-    ``eval`` read it alike without the train file."""
-    test = load_ucr_tsv(cfg.data.finetune_test_path, split="test")
+def _load_finetune_test(cfg, classes):
+    """The fine-tuning test file, its labels mapped through the training
+    file's ``classes`` and standardized alone, so ``finetune`` and ``eval``
+    read it alike without the train file."""
+    test = load_ucr_tsv(cfg.data.finetune_test_path, split="test", classes=classes)
     return standardize_dataset(test, cfg.encoder.input_len)
 
 
-def _load_finetune_splits(cfg):
+def _load_finetune_splits(cfg, classes=None):
+    """(train, val, test) for fine-tuning; with ``classes`` (a model's
+    recorded label values) the train file's labels map through them too."""
     if cfg.data.finetune_train_path is None:
         raise ConfigError("data.finetune_train_path is required for this command")
     split_rng = _derived_rng(cfg.seed, 4)
-    train = standardize_dataset(load_ucr_tsv(cfg.data.finetune_train_path), cfg.encoder.input_len)
+    train = load_ucr_tsv(cfg.data.finetune_train_path, classes=classes)
+    train = standardize_dataset(train, cfg.encoder.input_len)
     if cfg.data.finetune_test_path is not None:
-        test = _load_finetune_test(cfg)
+        test = _load_finetune_test(cfg, train.classes)
     else:
         train, test = train_val_split(train, cfg.data.test_fraction, split_rng)
         test = replace(test, split="test")
@@ -240,12 +244,14 @@ def cmd_pretrain(cfg, out):
 def cmd_finetune(cfg, checkpoint_path, out):
     with _run(out, "finetune", cfg) as run_dir:
         encoder, _, _, _ = load_checkpoint(checkpoint_path)
-        result = _finetune(cfg, encoder, _load_finetune_splits(cfg))
+        splits = _load_finetune_splits(cfg)
+        result = _finetune(cfg, encoder, splits)
         save_checkpoint(
             os.path.join(run_dir, "model.ckpt"),
             result.encoder,
             TrainState(streams=RngStreams.from_seed(cfg.seed)),
             cfg.resolved,
+            meta={"classes": list(splits[0].classes)},
         )
         doc = {**result.metrics.to_dict(), "best_epoch": result.best_epoch}
         _write_json(os.path.join(run_dir, "metrics.json"), doc)
@@ -254,11 +260,16 @@ def cmd_finetune(cfg, checkpoint_path, out):
 
 def cmd_eval(cfg, model_path, out):
     with _run(out, "eval", cfg) as run_dir:
-        encoder, _, _, _ = load_checkpoint(model_path)
+        encoder, _, _, meta = load_checkpoint(model_path)
+        if "classes" not in meta:
+            raise InputError(
+                f"{model_path}: the checkpoint records no label classes to map test "
+                f"labels through; fine-tune it again with this version"
+            )
         if cfg.data.finetune_test_path is not None:
-            test = _load_finetune_test(cfg)
+            test = _load_finetune_test(cfg, meta["classes"])
         else:
-            _, _, test = _load_finetune_splits(cfg)
+            _, _, test = _load_finetune_splits(cfg, meta["classes"])
         metrics = evaluate(encoder, test)
         _write_json(os.path.join(run_dir, "metrics.json"), metrics.to_dict())
     return run_dir

@@ -8,12 +8,13 @@ turns each line's fields into a float64 row with one ``np.array`` call, which
 converts every string with Python's ``float()``; blank fields are dropped
 only on a line where that call fails. Each row's label and values are
 checked as it is parsed, so the first bad line is the one named; the
-dense 0-based relabelling and the per-series z-score then run as array
-operations over the whole ``[N, 1+L]`` table. A file holds univariate
-series, and ``standardize_dataset`` brings a whole dataset to the length
-the encoder's config fixes. In memory a dataset's series are one float64
-``[N, C, L]`` array, a pool is one ``Batch`` of its samples, and a batch is
-that ``Batch`` indexed.
+dense 0-based relabelling (into the file's own sorted label values, or
+into the classes of the file a model was trained on) and the per-series
+z-score then run as array operations over the whole ``[N, 1+L]`` table.
+A file holds univariate series, and ``standardize_dataset`` brings a
+whole dataset to the length the encoder's config fixes. In memory a
+dataset's series are one float64 ``[N, C, L]`` array, a pool is one
+``Batch`` of its samples, and a batch is that ``Batch`` indexed.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class Dataset:
     labels: np.ndarray  # int64 [N]
     dataset_id: int = 0
     split: str = "train"
+    classes: tuple | None = None  # a loaded file's label values; label i is classes[i]
 
     def __post_init__(self):
         if not isinstance(self.series, np.ndarray):
@@ -118,23 +120,43 @@ def _parse_line(path, lineno, ln, width):
     return row
 
 
-def load_ucr_tsv(path, name=None, dataset_id=0, split="train"):
+def _class_indices(path, values, linenos, classes):
+    """The index of each label value in the sorted ``classes``; a value
+    that is not one of them is a ParseError naming its line."""
+    known = np.asarray(classes, dtype=np.float64)
+    idx = np.searchsorted(known, values)
+    unknown = known[np.minimum(idx, len(known) - 1)] != values
+    if unknown.any():
+        k = int(np.argmax(unknown))
+        raise ParseError(
+            f"{path}: line {linenos[k]}: label {int(values[k])} is not one of the "
+            f"classes {list(classes)}"
+        )
+    return idx
+
+
+def load_ucr_tsv(path, name=None, dataset_id=0, split="train", classes=None):
     """Parse a label-plus-values text file into a univariate Dataset.
 
-    Labels are remapped to a dense 0-based index (sorted original order)
-    and every series is z-scored; an all-constant series comes out as all
-    zeros thanks to the epsilon guard. Blank lines are skipped; errors name
-    the file and the physical line, and the first bad line is the one
-    named. A non-finite label or value (``nan``, ``inf``) is rejected,
-    since z-scoring would spread it over the series. A file that cannot be
-    read is an ``InputError``, and bytes that are not UTF-8 a ``ParseError``.
+    Labels are remapped to a dense 0-based index into ``classes``, the
+    sorted original label values, which the Dataset records; by default
+    they are the values this file holds. A test file is loaded with its
+    training file's classes, so both map a label alike, and a label that
+    is not one of them is a ``ParseError``. Every series is z-scored; an
+    all-constant series comes out as all zeros thanks to the epsilon
+    guard. Blank lines are skipped; errors name the file and the physical
+    line, and the first bad line is the one named. A non-finite label or
+    value (``nan``, ``inf``) is rejected, since z-scoring would spread it
+    over the series. A file that cannot be read is an ``InputError``, and
+    bytes that are not UTF-8 a ``ParseError``.
     """
-    rows = []
+    rows, linenos = [], []
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, ln in enumerate(fh, start=1):
                 if ln.strip():
                     rows.append(_parse_line(path, lineno, ln, rows[0].size if rows else None))
+                    linenos.append(lineno)
     except OSError as e:
         raise InputError(f"{path}: cannot read the file ({e.strerror or e})") from e
     if not rows:
@@ -142,7 +164,12 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train"):
 
     table = np.stack(rows)
     del rows  # the table holds a copy; free the rows before z-scoring
-    _, labels = np.unique(table[:, 0], return_inverse=True)
+    if classes is None:
+        values, labels = np.unique(table[:, 0], return_inverse=True)
+        classes = tuple(int(v) for v in values)
+    else:
+        labels = _class_indices(path, table[:, 0], linenos, classes)
+        classes = tuple(classes)
     x = table[:, 1:]  # row-wise mean and std: the bits of a per-row z-score
     series = x - x.mean(axis=1, keepdims=True)
     series /= x.std(axis=1, keepdims=True) + _ZSCORE_EPS
@@ -152,6 +179,7 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train"):
         labels=labels,
         dataset_id=dataset_id,
         split=split,
+        classes=classes,
     )
 
 

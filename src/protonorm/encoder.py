@@ -342,7 +342,11 @@ def count_forward_macs(cfg):
 
     The core term is independent of the prototype count: exactly one
     LayerNorm is applied per sample regardless of n. The only n-dependent
-    work is the proto-gated distance computation, reported separately.
+    work is proto-gated routing, reported separately: each of the
+    2*n_layers sites scores a sample against its n prototypes in the
+    routing GEMM, features @ P^T, n*d MACs per site. The bank's row norms
+    (n*d per site per batch) and the direct distances of rows within
+    rounding of a tie are not counted.
     """
     d, t = cfg.d_model, cfg.n_tokens
     core = t * cfg.patch_size * d

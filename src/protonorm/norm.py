@@ -5,9 +5,13 @@ variance epsilon and a bank of n prototype vectors: row i of gamma and
 beta is the affine pair of prototype i. Each sample's pooled features
 pick the nearest prototype (hard argmin over squared Euclidean distance,
 gradient-free) and the whole sample is normalized, then scaled and
-shifted by that prototype's rows. Prototypes drift toward the features
-routed to them via an exponential moving average and are kept mutually
-distinct by an orthogonality penalty on the prototype matrix.
+shifted by that prototype's rows. A batch is routed by one GEMM, scoring
+every pair as ||p||^2 - 2 f.p; a row whose best two scores lie within a
+rounding bound of each other is decided again by the distances written
+out, so every decision, ties to the lowest index included, is the one
+those distances make (see ``_nearest``). Prototypes drift toward the
+features routed to them via an exponential moving average and are kept
+mutually distinct by an orthogonality penalty on the prototype matrix.
 
 Routing modes:
   ``proto-gated``      nearest-prototype selection (the mechanism itself)
@@ -17,12 +21,16 @@ Routing modes:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, ContractError, InputError, ShapeError
 from .tensor import Tensor, layer_norm
 
 MODES = ("proto-gated", "dataset-indexed", "plain-LN")
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
 
 __all__ = [
     "MODES",
@@ -53,6 +61,54 @@ def init_orthogonal(n, d, rng):
         rows[i] = v / nrm
         i += 1
     return rows
+
+
+def _direct_nearest(features, P):
+    """Row-wise argmin of sum_k (f_k - p_k)^2 over the prototypes, written
+    out as distances: one [B, n, d] difference, squared in place and
+    summed over d."""
+    diff = features[:, None, :] - P[None, :, :]
+    np.multiply(diff, diff, out=diff)
+    return np.argmin(diff.sum(axis=2), axis=1)
+
+
+def _nearest(features, P):
+    """The index of the prototype row of P [n, d] nearest each row of
+    ``features`` [B, d], with the decisions of ``_direct_nearest``.
+
+    One GEMM scores every pair as ||p||^2 - 2 f.p, which is ||f - p||^2
+    less the row constant ||f||^2, so the argmin is the same in exact
+    arithmetic. In floating point the computed score is within
+    gamma_{d+1} R^2 of the exact one, and the computed direct distance
+    within gamma_{d+3} R^2 of its own, where R = max||f|| + max||p|| and
+    gamma_k ~ k eps / 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1). Rounding can so move the difference of two scores
+    by at most (2d + 4) eps R^2 under both formulas together, so a row
+    whose best score beats every other by more than tol = 4 (d + 3) eps
+    R^2, over twice that, has the same strict winner under both. Every
+    other row is decided by ``_direct_nearest``, so ties still go to the
+    lowest index, and so is the whole batch where 2 R^2 overflows, the
+    bound on every score and partial sum (features or prototypes large
+    enough to overflow). R is taken as sqrt(d) max|f| + max||p||, the
+    latter from the row norms the scores use; tol's margin covers their
+    rounding, and its absolute term at the smallest normal number covers
+    results that underflow."""
+    d = P.shape[1]
+    pp = (P * P).sum(axis=1)
+    scores = features @ P.T
+    scores *= -2.0
+    scores += pp
+    R = math.sqrt(d) * float(np.abs(features).max(initial=0.0))
+    R += math.sqrt(float(pp.max(initial=0.0)))
+    if not math.isfinite(2.0 * R * R):
+        return _direct_nearest(features, P)
+    tol = 4.0 * (d + 3) * (_EPS * R * R + _TINY)
+    idx = np.argmin(scores, axis=1)
+    near = scores <= (scores[np.arange(len(idx)), idx] + tol)[:, None]
+    if np.count_nonzero(near) > len(idx):  # some row has a second score within tol
+        close = np.count_nonzero(near, axis=1) > 1
+        idx[close] = _direct_nearest(features[close], P)
+    return idx
 
 
 def check_site_settings(ema_alpha, epsilon):
@@ -164,9 +220,16 @@ class ProtoNormLayer:
         return self.gamma.shape[1]
 
     def select_indices(self, x_data, dataset_ids=None):
-        """Routing decision per sample for an [B, T, d] activation array:
-        the nearest prototype by squared Euclidean distance to the token
-        mean, ties to the lowest index. Pure numpy; reused by audits to
+        """Routing decision per sample for an [B, T, d] activation array,
+        and the token means it was taken on. In proto-gated mode that is
+        the prototype nearest the token mean by squared Euclidean distance,
+        ties to the lowest index: one GEMM scores the batch as
+        ||p||^2 - 2 f.p, and a sample whose best two scores lie within
+        tol = 4 (d + 3) eps R^2 (R bounding ||f|| + ||p||), or a batch
+        whose scores could overflow, is decided by the distances written
+        out. Outside tol both formulas have the same strict winner despite
+        rounding, so every decision is the one the distances make
+        (``_nearest`` gives the bound). Pure numpy; reused by audits to
         cross-check forward()."""
         features = x_data.mean(axis=1)
         if self.mode == "plain-LN":
@@ -187,9 +250,7 @@ class ProtoNormLayer:
         else:
             if not np.isfinite(features).all():
                 raise InputError("gate features contain non-finite values")
-            diff = features[:, None, :] - self.bank.P.data[None, :, :]
-            np.multiply(diff, diff, out=diff)  # square in place: one [B, n, d] buffer
-            idx = np.argmin(diff.sum(axis=2), axis=1)
+            idx = _nearest(features, self.bank.P.data)
         return idx, features
 
     def forward(self, x, train=False, dataset_ids=None):

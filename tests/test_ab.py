@@ -3,6 +3,9 @@
 import importlib.util
 import json
 import os
+import re
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location("ab", os.path.join(ROOT, "tools", "ab.py"))
@@ -114,6 +117,53 @@ def test_traced_pairs_give_per_layer_medians_without_absent_layers():
     assert gate["parent"]["runs"] == [0.5, 0.5] and gate["change_over_parent"] is None
 
 
+def _fake_checkouts(monkeypatch, fake_run):
+    monkeypatch.setattr(ab, "git", lambda *args, **kwargs: "0" * 40)
+    monkeypatch.setattr(ab, "working_tree_src_tree", lambda: "1" * 40)
+    monkeypatch.setattr(ab, "export_parent", lambda sha, dest: os.makedirs(dest))
+    monkeypatch.setattr(ab, "export_working_tree", lambda dest: os.makedirs(dest))
+    monkeypatch.setattr(ab, "run_benchmark", fake_run)
+
+
+def test_a_claim_is_ruled_on_its_own_workload_alone(tmp_path, monkeypatch, capsys):
+    """With two workloads run, only the claimed one counts pairs won and
+    gets a verdict; the other reports its metrics against their bounds."""
+    def fake_run(checkout, side, workload, seed, seconds, trace=0):
+        return _result(700.0, 10.0 if side == "parent" else 13.0), None
+
+    _fake_checkouts(monkeypatch, fake_run)
+    out = tmp_path / "BENCH_test.json"
+    ab.main(["--parent", "HEAD", "--workload", "desk-pretrain", "--workload", "paper-pretrain",
+             "--seeds", "1-2", "--claim", "pretrain_samples_per_s@paper-pretrain",
+             "--out", str(out), "--workdir", str(tmp_path)])
+    doc = json.loads(out.read_text())
+    assert doc["claim"] == {"metric": "pretrain_samples_per_s", "workload": "paper-pretrain"}
+    desk, paper = doc["workloads"]["desk-pretrain"], doc["workloads"]["paper-pretrain"]
+    assert "claim_verdict" not in desk and not [k for k in desk if k.endswith("_pairs_won")]
+    assert desk["regression"]["pretrain_samples_per_s"]["verdict"] == "within"
+    assert paper["pretrain_samples_per_s_pairs_won"] == {"change": 2, "pairs": 2}
+    assert paper["claim_verdict"] == "met"
+    printed = capsys.readouterr().out
+    assert printed.count("better in") == 1
+    assert "pretrain_samples_per_s better in 2 of 2 pairs: claim met" in printed
+
+
+@pytest.mark.parametrize("claim, message", [
+    ("eval_samples_per_s@shift-pipeline", "workload 'shift-pipeline' is not run"),
+    ("eval_samples_per_s", "give it as METRIC@WORKLOAD"),
+    ("norm.gate_s@desk-pretrain", "'norm.gate_s' is not an end-to-end metric"),
+])
+def test_a_claim_that_cannot_be_ruled_on_is_an_error(tmp_path, monkeypatch, claim, message):
+    def fake_run(*args, **kwargs):
+        raise AssertionError("no run starts for a bad claim")
+
+    _fake_checkouts(monkeypatch, fake_run)
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        ab.main(["--parent", "HEAD", "--workload", "desk-pretrain", "--seeds", "1",
+                 "--claim", claim, "--out", str(tmp_path / "BENCH_test.json")])
+    assert not (tmp_path / "BENCH_test.json").exists()
+
+
 def test_trace_seeds_run_traced_pairs_on_both_sides(tmp_path, monkeypatch, capsys):
     calls = []
 
@@ -123,14 +173,10 @@ def test_trace_seeds_run_traced_pairs_on_both_sides(tmp_path, monkeypatch, capsy
             return _traced(0.6 if side == "parent" else 0.4), None
         return _result(700.0 if side == "parent" else 500.0, 10.0), None
 
-    monkeypatch.setattr(ab, "git", lambda *args, **kwargs: "0" * 40)
-    monkeypatch.setattr(ab, "working_tree_src_tree", lambda: "1" * 40)
-    monkeypatch.setattr(ab, "export_parent", lambda sha, dest: os.makedirs(dest))
-    monkeypatch.setattr(ab, "export_working_tree", lambda dest: os.makedirs(dest))
-    monkeypatch.setattr(ab, "run_benchmark", fake_run)
+    _fake_checkouts(monkeypatch, fake_run)
     out = tmp_path / "BENCH_test.json"
     ab.main(["--parent", "HEAD", "--workload", "shift-pipeline", "--seeds", "1-3",
-             "--trace-seeds", "2,5", "--claim", "peak_rss_mb", "--out", str(out),
+             "--trace-seeds", "2,5", "--claim", "peak_rss_mb@shift-pipeline", "--out", str(out),
              "--workdir", str(tmp_path)])
     assert calls == [
         ("parent", 1, 0), ("change", 1, 0), ("change", 2, 0), ("parent", 2, 0),
@@ -139,6 +185,7 @@ def test_trace_seeds_run_traced_pairs_on_both_sides(tmp_path, monkeypatch, capsy
     ]
     doc = json.loads(out.read_text())
     assert doc["traced_benchmark"].endswith("--trace 1")
+    assert doc["claim"] == {"metric": "peak_rss_mb", "workload": "shift-pipeline"}
     entry = doc["workloads"]["shift-pipeline"]
     assert entry["seeds"]["change"] == [1, 2, 3]
     assert entry["peak_rss_mb_pairs_won"] == {"change": 3, "pairs": 3}
@@ -192,11 +239,7 @@ def test_a_run_without_a_claim_reports_each_metric_against_its_bound(tmp_path, m
     def fake_run(checkout, side, workload, seed, seconds, trace=0):
         return _result(700.0 if side == "parent" else 800.0, 10.0), None
 
-    monkeypatch.setattr(ab, "git", lambda *args, **kwargs: "0" * 40)
-    monkeypatch.setattr(ab, "working_tree_src_tree", lambda: "1" * 40)
-    monkeypatch.setattr(ab, "export_parent", lambda sha, dest: os.makedirs(dest))
-    monkeypatch.setattr(ab, "export_working_tree", lambda dest: os.makedirs(dest))
-    monkeypatch.setattr(ab, "run_benchmark", fake_run)
+    _fake_checkouts(monkeypatch, fake_run)
     out = tmp_path / "BENCH_test.json"
     ab.main(["--parent", "HEAD", "--workload", "desk-pretrain", "--seeds", "1-2",
              "--out", str(out), "--workdir", str(tmp_path)])

@@ -12,6 +12,7 @@ from protonorm import (
     load_checkpoint,
     load_ucr_tsv,
     make_synthetic_clusters,
+    save_checkpoint,
     save_ucr_tsv,
 )
 from protonorm.cli import main
@@ -377,6 +378,60 @@ def test_eval_with_a_test_file_loads_only_that_file(tmp_path, monkeypatch):
     _, _, test = _load_finetune_splits(load_run_config(cfg_path))
     direct = evaluate(load_checkpoint(model)[0], test, 8)
     assert ev_metrics == json.loads(json.dumps(direct.to_dict()))
+
+
+def _relabelled(src, dest, keep=None):
+    """``src`` with labels 0/1 written as 1/2, keeping only the rows whose
+    original label is ``keep`` when given."""
+    ds = load_ucr_tsv(src)
+    rows = np.arange(len(ds)) if keep is None else np.nonzero(ds.labels == keep)[0]
+    ds.series, ds.labels = ds.series[rows], ds.labels[rows] + 1
+    save_ucr_tsv(ds, dest)
+    return len(rows)
+
+
+def test_a_test_file_missing_a_class_is_scored_against_the_training_classes(tmp_path):
+    """A test file holding only training class 2 of classes 1 and 2: both
+    finetune and eval score it as class index 1, and model.ckpt records
+    the training classes."""
+    cfg_path, out = _generate_then_pretrain(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    gen_dir = os.path.dirname(doc["data"]["finetune_train_path"])
+    doc["data"]["finetune_train_path"] = str(tmp_path / "train.tsv")
+    doc["data"]["finetune_test_path"] = str(tmp_path / "test.tsv")
+    _relabelled(os.path.join(gen_dir, "cluster0.tsv"), tmp_path / "train.tsv")
+    n_test = _relabelled(os.path.join(gen_dir, "cluster1.tsv"), tmp_path / "test.tsv", keep=1)
+    cfg_path.write_text(json.dumps(doc))
+    ckpt = os.path.join(only_run_dir(out, "pretrain-"), "final.ckpt")
+    assert run(["finetune", ckpt, "--config", cfg_path, "--out", out]) == 0
+    ft_dir = only_run_dir(out, "finetune-")
+    model = os.path.join(ft_dir, "model.ckpt")
+    assert load_checkpoint(model)[3]["classes"] == [1, 2]
+    assert run(["eval", model, "--config", cfg_path, "--out", out]) == 0
+    for run_dir in (ft_dir, only_run_dir(out, "eval-")):
+        confusion = json.loads(open(os.path.join(run_dir, "metrics.json")).read())["confusion"]
+        assert [sum(row) for row in confusion] == [0, n_test], run_dir
+
+
+def test_eval_refuses_a_model_that_records_no_classes(tmp_path, capsys):
+    """A model.ckpt written before the classes were recorded is refused
+    by name, never scored against the test file's own classes."""
+    cfg_path, out = _generate_then_pretrain(tmp_path)
+    ckpt = os.path.join(only_run_dir(out, "pretrain-"), "final.ckpt")
+    assert run(["finetune", ckpt, "--config", cfg_path, "--out", out]) == 0
+    encoder, state, config, meta = load_checkpoint(
+        os.path.join(only_run_dir(out, "finetune-"), "model.ckpt")
+    )
+    assert meta.pop("classes") == [0, 1]
+    old = tmp_path / "old_model.ckpt"
+    save_checkpoint(old, encoder, state, config, meta)
+    capsys.readouterr()
+    assert run(["eval", old, "--config", cfg_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InputError: {old}: the checkpoint records no label classes")
+    ev_dir = only_run_dir(out, "eval-")
+    assert json.loads(open(os.path.join(ev_dir, "status.json")).read())["status"] == "failed"
+    assert not os.path.exists(os.path.join(ev_dir, "metrics.json"))
 
 
 def test_eval_scores_in_its_own_chunk_whatever_the_finetune_batch(tmp_path, monkeypatch):

@@ -50,6 +50,30 @@ def test_load_zscore_guards_constant_series(tmp_path):
     assert np.array_equal(ds.series[0], np.zeros((1, 3)))
 
 
+def test_a_test_file_maps_its_labels_through_the_training_classes(tmp_path):
+    """A test file lacking a training class keeps the training indices:
+    training labels 1 2 1 load as [0 1 0], and test label 2 as [1], not [0]."""
+    train_path, test_path = tmp_path / "train.tsv", tmp_path / "test.tsv"
+    train_path.write_text("1\t0.0\t1.0\n2\t1.0\t0.0\n1\t2.0\t3.0\n")
+    test_path.write_text("2\t1.0\t0.0\n")
+    train = load_ucr_tsv(train_path)
+    assert train.labels.tolist() == [0, 1, 0] and train.classes == (1, 2)
+    test = load_ucr_tsv(test_path, classes=train.classes)
+    assert test.labels.tolist() == [1] and test.classes == (1, 2)
+    assert load_ucr_tsv(test_path).labels.tolist() == [0]  # its own classes: (2,)
+
+
+def test_a_label_outside_the_given_classes_names_the_file_and_line(tmp_path):
+    path = tmp_path / "test.tsv"
+    path.write_text("2\t1.0\t0.0\n\n5\t0.0\t1.0\n0\t0.0\t1.0\n")
+    message = f"{path}: line 3: label 5 is not one of the classes [1, 2]"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_ucr_tsv(path, classes=(1, 2))
+    path.write_text("0\t1.0\t0.0\n")  # below every class
+    with pytest.raises(ParseError, match="line 1: label 0 is not one"):
+        load_ucr_tsv(path, classes=[1, 2])
+
+
 def test_load_comma_and_space_delimiters(tmp_path):
     p1 = tmp_path / "c.txt"
     p1.write_text("1,0.5,1.5\n2,1.5,0.5\n")

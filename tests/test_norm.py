@@ -158,6 +158,78 @@ def test_gate_invariant_to_monotone_distance_transforms():
             assert picked[i] == int(np.argmin(transform(d2)))
 
 
+def _direct_argmin(features, P):
+    """The nearest prototype of each row by distances written out: the
+    reference the one-GEMM routing must agree with decision for decision."""
+    diff = features[:, None, :] - P[None, :, :]
+    return np.argmin((diff * diff).sum(axis=2), axis=1)
+
+
+def _expanded_argmin(features, P):
+    """The bare one-GEMM argmin, ||p||^2 - 2 f.p, with no fallback."""
+    return np.argmin((P * P).sum(axis=1) - 2.0 * features @ P.T, axis=1)
+
+
+def _bisector_bank(rng):
+    """Features on the perpendicular bisector of two prototypes of unequal
+    norm, each a tie in exact arithmetic that rounding may break."""
+    a, b = rng.normal(size=8), 3.0 * rng.normal(size=8)
+    v = rng.normal(size=(32, 8))
+    v -= np.outer(v @ (a - b), a - b) / ((a - b) @ (a - b))
+    return 0.5 * (a + b) + v, np.stack([a, b])
+
+
+def _offset_bank(rng):
+    """A common offset of 1e8 on features and prototypes: the expanded
+    scores cancel about 1e17 down to distances near 1."""
+    P = 1e8 + rng.normal(size=(8, 16))
+    return 1e8 + rng.normal(size=(64, 16)), P
+
+
+def _near_ulp_bank(rng):
+    """Row 2 duplicates row 0 and row 3 lies 1 ulp from row 1; the
+    features sit at those rows, where the decision is a tie or nearly."""
+    P = rng.normal(size=(6, 8))
+    P[2] = P[0]
+    P[3] = np.nextafter(P[1], np.inf)
+    f = np.concatenate([P[[0, 1, 2, 3]], P[[0, 1]] + 1e-9, rng.normal(size=(10, 8))])
+    return f, P
+
+
+ROUTING_BANKS = {
+    "random-64x32x64": lambda rng: (rng.normal(size=(64, 64)), rng.normal(size=(32, 64))),
+    "random-4x4x256": lambda rng: (rng.normal(size=(4, 256)), rng.normal(size=(4, 256))),
+    "single-prototype": lambda rng: (rng.normal(size=(16, 8)), rng.normal(size=(1, 8))),
+    "duplicate-and-1-ulp-rows": _near_ulp_bank,
+    "bisector-unequal-norms": _bisector_bank,
+    "offset-1e8": _offset_bank,
+    "features-near-1e200": lambda rng: (1e200 * rng.normal(size=(8, 8)), rng.normal(size=(4, 8))),
+    "scores-overflow": lambda rng: (
+        1e200 * rng.normal(size=(8, 8)), 1e110 * rng.normal(size=(4, 8))
+    ),
+    "empty-batch": lambda rng: (np.empty((0, 8)), rng.normal(size=(4, 8))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTING_BANKS))
+def test_gemm_routing_decides_as_the_direct_distances(case):
+    """Each row's routing equals the direct-distance argmin, ties to the
+    lowest index, on banks where the expanded scores are close to a tie,
+    cancel badly or overflow."""
+    features, P = ROUTING_BANKS[case](np.random.default_rng(20))
+    idx, feats = _gated(P).select_indices(features[:, None, :])
+    assert np.array_equal(feats, features)
+    assert idx.shape == (len(features),)
+    assert idx.tolist() == _direct_argmin(features, P).tolist()
+
+
+def test_the_fallback_is_what_keeps_the_offset_bank_right():
+    """Without the rounding-bound fallback the expanded scores route some
+    rows of the offset bank elsewhere than the direct distances do."""
+    features, P = _offset_bank(np.random.default_rng(20))
+    assert (_expanded_argmin(features, P) != _direct_argmin(features, P)).any()
+
+
 # -- forward routing ------------------------------------------------------
 
 

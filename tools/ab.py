@@ -4,6 +4,8 @@
         --seconds 30 --out BENCH_<tag>.json --change "what the change does"
 
 ``--workload`` may be given more than once; each workload runs every seed.
+``--claim eval_samples_per_s@desk-pretrain`` names the end-to-end metric a
+gain is claimed on and the one workload it is claimed for.
 ``--trace-seeds 1,2`` adds, per workload, a pair of ``--trace 1`` runs for
 each of those seeds, so a claim can show which layer its saving sits in.
 
@@ -21,13 +23,14 @@ each end-to-end metric's change median is worse than the parent's by
 more than its ``BENCHMARK.json`` bound ("worse", else "within"), or
 "unresolved" where the parent's interquartile spread is wider than the
 bound and not every change run reads better than every parent run. With
-``--claim``, it also counts the pairs the change won on that metric (in
-the direction ``BENCHMARK.json`` gives) and rules on the claim under
-``claim_verdict``: "met" when the change won at least 9 of every 10 pairs
-and its median beats the parent's by more than the parent's
-interquartile spread, else "not met"; with ``--trace-seeds``, the same
-figures of every per-layer metric go under ``per_layer``. It names the
-parent commit and the git tree of ``src/`` on both sides.
+``--claim``, the output records the claim as ``{"metric", "workload"}``,
+and the claimed workload's entry alone counts the pairs the change won on
+that metric (in the direction ``BENCHMARK.json`` gives) and rules on the
+claim under ``claim_verdict``: "met" when the change won at least 9 of
+every 10 pairs and its median beats the parent's by more than the
+parent's interquartile spread, else "not met". With ``--trace-seeds``,
+the same figures of every per-layer metric go under ``per_layer``. It
+names the parent commit and the git tree of ``src/`` on both sides.
 """
 
 from __future__ import annotations
@@ -49,10 +52,10 @@ METHOD = (
     "first; each run's value is the median over its measured rounds "
     "(host-normalized, see benchmarks/README.md), and peak_rss_mb is the "
     "process's ru_maxrss; median and quartiles (statistics.quantiles, n=4) are "
-    "over runs; <claim>_pairs_won counts the seed pairs in which the change's "
-    "value of the claimed metric was better; claim_verdict is met when the change "
-    "won at least 9/10 of the pairs and its median beats the parent's by more "
-    "than the parent's interquartile spread; regression sets each end-to-end "
+    "over runs; on the claimed workload, <claim>_pairs_won counts the seed pairs "
+    "in which the change's value of the claimed metric was better; claim_verdict "
+    "is met when the change won at least 9/10 of the pairs and its median beats "
+    "the parent's by more than the parent's interquartile spread; regression sets each end-to-end "
     "metric's change of median against its BENCHMARK.json bound"
 )
 CHANGE_SHA = "the parent plus this change, measured from the working tree; identified by src_tree"
@@ -248,6 +251,22 @@ def declared_metrics():
                 for m in json.load(fh)["end_to_end"]}
 
 
+def parse_claim(text, declared, workloads):
+    """``{"metric", "workload"}`` of a ``METRIC@WORKLOAD`` claim, whose metric
+    must be an end-to-end metric of ``declared`` and whose workload one of
+    the ``workloads`` run."""
+    metric, sep, workload = text.partition("@")
+    if not sep or not workload:
+        raise SystemExit(f"ab: --claim {text!r}: give it as METRIC@WORKLOAD")
+    if metric not in declared:
+        raise SystemExit(f"ab: --claim {text!r}: {metric!r} is not an end-to-end metric "
+                         f"of BENCHMARK.json")
+    if workload not in workloads:
+        raise SystemExit(f"ab: --claim {text!r}: workload {workload!r} is not run "
+                         f"(--workload {' '.join(workloads)})")
+    return {"metric": metric, "workload": workload}
+
+
 def run_pairs(checkouts, workload, seeds, seconds, trace, claim, doc):
     """(seed, first side, {side: result}) of one run per side and seed, the
     side that runs first alternating from seed to seed."""
@@ -276,8 +295,9 @@ def main(argv=None):
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10 or 1,3,5")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", required=True, help="the BENCH_<tag>.json to write")
-    parser.add_argument("--claim", help="the end-to-end metric whose pairs won are counted "
-                                        "(default: none, no gain claimed)")
+    parser.add_argument("--claim", metavar="METRIC@WORKLOAD",
+                        help="the end-to-end metric a gain is claimed on and the workload "
+                             "it is claimed for (default: none, no gain claimed)")
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--workdir", help="where the two checkouts go (default: the temp dir)")
     parser.add_argument("--trace-seeds", type=parse_seeds, default=[],
@@ -285,14 +305,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     declared = declared_metrics()
-    if args.claim is not None and args.claim not in declared:
-        raise SystemExit(f"ab: {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
-    better = declared[args.claim]["better"] if args.claim else None
+    claim = parse_claim(args.claim, declared, args.workload) if args.claim else None
     sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     doc = {
         "benchmark": f"python3 benchmarks/run.py --workload <name> --seed <seed> "
                      f"--seconds {args.seconds:g} --trace 0",
         "change": args.change,
+        "claim": claim,
         "git_sha": {"parent": sha, "change": CHANGE_SHA},
         "host": None,
         "method": METHOD,
@@ -308,12 +327,14 @@ def main(argv=None):
         export_parent(sha, checkouts["parent"])
         export_working_tree(checkouts["change"])
         for workload in args.workload:
-            pairs = run_pairs(checkouts, workload, args.seeds, args.seconds, 0, args.claim, doc)
-            entry = doc["workloads"][workload] = summarize(pairs, args.claim, better)
+            metric = claim["metric"] if claim and claim["workload"] == workload else None
+            pairs = run_pairs(checkouts, workload, args.seeds, args.seconds, 0, metric, doc)
+            better = declared[metric]["better"] if metric else None
+            entry = doc["workloads"][workload] = summarize(pairs, metric, better)
             entry["regression"] = regression(entry["metrics"], declared)
             if args.trace_seeds:
                 traced = run_pairs(checkouts, workload, args.trace_seeds, args.seconds, 1,
-                                   args.claim, doc)
+                                   metric, doc)
                 entry["per_layer"] = summarize_traced(traced)
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -326,9 +347,9 @@ def main(argv=None):
 
     for workload, entry in doc["workloads"].items():
         print(f"{workload}: all correct {entry['all_correct']}")
-        if args.claim:
-            won = entry[f"{args.claim}_pairs_won"]
-            print(f"  {args.claim} better in {won['change']} of {won['pairs']} pairs: "
+        if claim and claim["workload"] == workload:
+            won = entry[f"{claim['metric']}_pairs_won"]
+            print(f"  {claim['metric']} better in {won['change']} of {won['pairs']} pairs: "
                   f"claim {entry['claim_verdict']}")
         for name, r in entry["regression"].items():
             if r["verdict"] == "unmeasured":
