@@ -3,22 +3,29 @@ batching.
 
 The on-disk format is one sample per line: an integer class label followed
 by the flattened series values, separated by tabs or commas (auto-detected
-per line, whitespace tolerated). The loader reads the file line by line and
-turns each line's fields into a float64 row with one ``np.array`` call, which
-converts every string with Python's ``float()``; blank fields are dropped
-only on a line where that call fails. Each row's label and values are
-checked as it is parsed, so the first bad line is the one named; the
-dense 0-based relabelling (into the file's own sorted label values, or
-into the classes of the file a model was trained on) and the per-series
-z-score then run as array operations over the whole ``[N, 1+L]`` table.
-A file holds univariate series, and ``standardize_dataset`` brings a
-whole dataset to the length the encoder's config fixes. In memory a
-dataset's series are one float64 ``[N, C, L]`` array, a pool is one
-``Batch`` of its samples, and a batch is that ``Batch`` indexed.
+per line, whitespace tolerated). An ASCII, tab-separated file is read
+whole by one ``np.loadtxt``, whose table the row checks then pass or
+refuse as array operations. Any other file, and any file that read or
+those checks refuse, goes to the line parser: it turns each line's fields
+into a float64 row with one ``np.array`` call, which converts every
+string with Python's ``float()``, drops blank fields only on a line where
+that call fails, and checks each row as it is parsed, so the first bad
+line is the one named. loadtxt converts a field with the function
+``float()`` uses, so both give one table, bit for bit. The dense 0-based
+relabelling (into the file's own sorted label values, or into the classes
+of the file a model was trained on) and the per-series z-score then run
+as array operations over the whole ``[N, 1+L]`` table, and a row whose
+mean or standard deviation overflows is refused by its line. A file holds
+univariate series, and ``standardize_dataset`` brings a whole dataset to
+the length the encoder's config fixes. In memory a dataset's series are
+one float64 ``[N, C, L]`` array, a pool is one ``Batch`` of its samples,
+and a batch is that ``Batch`` indexed.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import os
 from dataclasses import dataclass, replace
 
@@ -40,6 +47,7 @@ __all__ = [
 ]
 
 _ZSCORE_EPS = 1e-8
+_FIELD_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")  # see _read_tab_separated
 
 
 @dataclass
@@ -120,7 +128,64 @@ def _parse_line(path, lineno, ln, width):
     return row
 
 
-def _class_indices(path, values, linenos, classes):
+def _parse_lines(path):
+    """The file's table, built a line at a time by ``_parse_line``."""
+    rows = []
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, ln in enumerate(fh, start=1):
+                if ln.strip():
+                    rows.append(_parse_line(path, lineno, ln, rows[0].size if rows else None))
+    except OSError as e:
+        raise InputError(f"{path}: cannot read the file ({e.strerror or e})") from e
+    if not rows:
+        raise InputError(f"{path}: empty dataset file")
+    return np.stack(rows)
+
+
+def _read_tab_separated(path):
+    """The file's table read by one ``np.loadtxt``, or None when the line
+    parser must read it: the file is not ASCII, holds no row, is not
+    tab-separated throughout, or a row fails a check of ``_parse_line``.
+
+    loadtxt converts a field with ``PyOS_string_to_double``, the function
+    ``float()`` converts an ASCII field with, and skips only empty lines,
+    so a table it returns is the one the line parser builds, bit for bit.
+    What the two would read otherwise, loadtxt refuses, and the line
+    parser reads it: a blank field, a line of spaces, an underscore in a
+    number, other separators. The bytes 0x1c-0x1f, which loadtxt strips
+    from a field as whitespace and ``float()`` does not, send the file
+    there before loadtxt runs, and so does a file of blank lines, for
+    which loadtxt warns and the line parser raises."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError:  # the line parser names the fault
+        return None
+    if not raw or raw.isspace() or not raw.isascii() or any(c in raw for c in _FIELD_SPACES):
+        return None
+    try:
+        table = np.loadtxt(
+            io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"),
+            delimiter="\t", comments=None, dtype=np.float64, ndmin=2,
+        )
+    except ValueError:
+        return None
+    labels = table[:, 0]
+    if table.shape[1] < 2 or not np.isfinite(table).all() or (np.floor(labels) != labels).any():
+        return None
+    return table
+
+
+def _line_of_row(path, k):
+    """The physical line of the table's row k, the file's k-th non-blank
+    line: a row is read from each non-blank line and from no other."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        nonblank = (lineno for lineno, ln in enumerate(fh, start=1) if ln.strip())
+        return next(itertools.islice(nonblank, k, None))
+
+
+def _class_indices(path, values, classes):
     """The index of each label value in the sorted ``classes``; a value
     that is not one of them is a ParseError naming its line."""
     known = np.asarray(classes, dtype=np.float64)
@@ -129,10 +194,24 @@ def _class_indices(path, values, linenos, classes):
     if unknown.any():
         k = int(np.argmax(unknown))
         raise ParseError(
-            f"{path}: line {linenos[k]}: label {int(values[k])} is not one of the "
-            f"classes {list(classes)}"
+            f"{path}: line {_line_of_row(path, k)}: label {int(values[k])} is not one "
+            f"of the classes {list(classes)}"
         )
     return idx
+
+
+def _check_statistics(path, mean, std):
+    """Raise a ParseError naming the line of the first row whose mean or
+    standard deviation overflowed, and which of the two did: z-scored,
+    such a row would come out as NaN or as zeros."""
+    finite_mean = np.isfinite(mean[:, 0])
+    bad = ~(finite_mean & np.isfinite(std[:, 0]))
+    if bad.any():
+        k = int(np.argmax(bad))
+        stat = "mean" if not finite_mean[k] else "standard deviation"
+        raise ParseError(
+            f"{path}: line {_line_of_row(path, k)}: the {stat} of the values overflows"
+        )
 
 
 def load_ucr_tsv(path, name=None, dataset_id=0, split="train", classes=None):
@@ -147,32 +226,26 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train", classes=None):
     guard. Blank lines are skipped; errors name the file and the physical
     line, and the first bad line is the one named. A non-finite label or
     value (``nan``, ``inf``) is rejected, since z-scoring would spread it
-    over the series. A file that cannot be read is an ``InputError``, and
-    bytes that are not UTF-8 a ``ParseError``.
+    over the series, and so is a row of finite values whose mean or
+    standard deviation overflows. A file that cannot be read is an
+    ``InputError``, and bytes that are not UTF-8 a ``ParseError``.
     """
-    rows, linenos = [], []
-    try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, ln in enumerate(fh, start=1):
-                if ln.strip():
-                    rows.append(_parse_line(path, lineno, ln, rows[0].size if rows else None))
-                    linenos.append(lineno)
-    except OSError as e:
-        raise InputError(f"{path}: cannot read the file ({e.strerror or e})") from e
-    if not rows:
-        raise InputError(f"{path}: empty dataset file")
-
-    table = np.stack(rows)
-    del rows  # the table holds a copy; free the rows before z-scoring
+    table = _read_tab_separated(path)
+    if table is None:
+        table = _parse_lines(path)
     if classes is None:
         values, labels = np.unique(table[:, 0], return_inverse=True)
         classes = tuple(int(v) for v in values)
     else:
-        labels = _class_indices(path, table[:, 0], linenos, classes)
+        labels = _class_indices(path, table[:, 0], classes)
         classes = tuple(classes)
     x = table[:, 1:]  # row-wise mean and std: the bits of a per-row z-score
-    series = x - x.mean(axis=1, keepdims=True)
-    series /= x.std(axis=1, keepdims=True) + _ZSCORE_EPS
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=1, keepdims=True)
+        std = x.std(axis=1, keepdims=True)
+    _check_statistics(path, mean, std)
+    series = x - mean
+    series /= std + _ZSCORE_EPS
     return Dataset(
         name=name or str(path),
         series=series[:, None, :],

@@ -87,21 +87,25 @@ def _nearest(features, P):
     whose best score beats every other by more than tol = 4 (d + 3) eps
     R^2, over twice that, has the same strict winner under both. Every
     other row is decided by ``_direct_nearest``, so ties still go to the
-    lowest index, and so is the whole batch where 2 R^2 overflows, the
-    bound on every score and partial sum (features or prototypes large
-    enough to overflow). R is taken as sqrt(d) max|f| + max||p||, the
-    latter from the row norms the scores use; tol's margin covers their
-    rounding, and its absolute term at the smallest normal number covers
-    results that underflow."""
+    lowest index. A batch where 2 R^2, the bound on every score and
+    partial sum, overflows is an InputError: its distances could overflow
+    too, and no decision made on them would mean anything. R is taken as
+    sqrt(d) max|f| + max||p||, the latter from the row norms the scores
+    use; tol's margin covers their rounding, and its absolute term at the
+    smallest normal number covers results that underflow."""
     d = P.shape[1]
     pp = (P * P).sum(axis=1)
+    max_f = float(np.abs(features).max(initial=0.0))
+    max_p = math.sqrt(float(pp.max(initial=0.0)))
+    R = math.sqrt(d) * max_f + max_p
+    if not math.isfinite(2.0 * R * R):
+        raise InputError(
+            f"gate features too large to route: max |f| = {max_f:.6g} with "
+            f"max ||p|| = {max_p:.6g}, so the routing scores could overflow"
+        )
     scores = features @ P.T
     scores *= -2.0
     scores += pp
-    R = math.sqrt(d) * float(np.abs(features).max(initial=0.0))
-    R += math.sqrt(float(pp.max(initial=0.0)))
-    if not math.isfinite(2.0 * R * R):
-        return _direct_nearest(features, P)
     tol = 4.0 * (d + 3) * (_EPS * R * R + _TINY)
     idx = np.argmin(scores, axis=1)
     near = scores <= (scores[np.arange(len(idx)), idx] + tol)[:, None]
@@ -225,11 +229,11 @@ class ProtoNormLayer:
         the prototype nearest the token mean by squared Euclidean distance,
         ties to the lowest index: one GEMM scores the batch as
         ||p||^2 - 2 f.p, and a sample whose best two scores lie within
-        tol = 4 (d + 3) eps R^2 (R bounding ||f|| + ||p||), or a batch
-        whose scores could overflow, is decided by the distances written
-        out. Outside tol both formulas have the same strict winner despite
-        rounding, so every decision is the one the distances make
-        (``_nearest`` gives the bound). Pure numpy; reused by audits to
+        tol = 4 (d + 3) eps R^2 (R bounding ||f|| + ||p||) is decided by
+        the distances written out. Outside tol both formulas have the same
+        strict winner despite rounding, so every decision is the one the
+        distances make (``_nearest`` gives the bound). A batch whose scores
+        could overflow is an InputError. Pure numpy; reused by audits to
         cross-check forward()."""
         features = x_data.mean(axis=1)
         if self.mode == "plain-LN":

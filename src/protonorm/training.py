@@ -340,7 +340,7 @@ def _count_assignments(histograms, encoder):
         histograms[f"layer{i}"] = (counts + histograms.get(f"layer{i}", 0)).tolist()
 
 
-def evaluate(encoder, ds, batch_size=64):
+def evaluate(encoder, ds, batch_size=128):
     """Accuracy, macro-F1 and routing histograms of the classifier head on a
     dataset, from this pass alone. ``batch_size`` is a throughput chunk
     only: each series is scored and routed on its own, so the result does
@@ -460,11 +460,13 @@ def pretrain(
     set, checkpoints land there (last good epoch, best validation, final)
     and divergence aborts with the last good checkpoint retained. The best
     epoch is the one with the lowest validation NT-Xent: the orthogonality
-    penalty does not take part in choosing ``best.ckpt``. A completed run
-    names its last ``last.ckpt`` ``final.ckpt`` too, by a hard link, so
-    those bytes are written once; a call that ran no epoch saves
-    ``final.ckpt`` itself. ``stop_after_steps`` interrupts mid-run for
-    checkpoint-resume tests.
+    penalty does not take part in choosing ``best.ckpt``. An epoch that
+    improves on it names its ``last.ckpt`` ``best.ckpt`` too, and a
+    completed run names its last ``last.ckpt`` ``final.ckpt`` too, by hard
+    links, so those bytes are written once; a later epoch's ``last.ckpt``
+    replaces the file and leaves the links as they were. A call that ran
+    no epoch saves ``final.ckpt`` itself. ``stop_after_steps`` interrupts
+    mid-run for checkpoint-resume tests.
 
     A completed run hands its optimizer state to ``final.ckpt`` and keeps
     none in memory: the returned state has no moments and no parameter
@@ -524,14 +526,18 @@ def pretrain(
             orth = float(sum(t.item() for t in orth_terms))
             rows.append((state.step, lr, nt.item(), orth, loss.item()))
         state.epoch = epoch + 1
+        improved = False
         if val_pool is not None:
             val_loss = _validation_loss(
                 encoder, val_pool, aug_cfg, nt_cfg, seed, epoch, batch_size
             )
-            if val_loss < state.best_val:
+            improved = val_loss < state.best_val
+            if improved:
                 state.best_val = val_loss
-                checkpoint_to("best")
         checkpoint_to("last")
+        if improved and out_dir is not None:  # the same bytes: written once, named twice
+            paths["best"] = f"{out_dir}/best.ckpt"
+            link_atomic(paths["last"], paths["best"])
 
     if paths["last"] is not None:  # the same bytes: written once, named twice
         final = paths["final"] = f"{out_dir}/final.ckpt"

@@ -90,11 +90,12 @@ GRAD_LAMBDA = 0.001
 DROP_SEED = 777
 
 
-def _oracle_refs(enc, cfg):
-    """Resolve live references to the encoder's parameter arrays once.
-    Finite-difference perturbations mutate those arrays in place, so the
-    oracle sees every probe without re-resolving names."""
-    p = {k: t.data for k, t in enc.parameters().items()}
+def _oracle_refs(p, cfg):
+    """Arrange the parameter arrays ``p`` (name -> array) as the oracles
+    read them. Given the encoder's live arrays, a perturbation made in
+    place is seen by the scalar oracle without re-resolving names; given
+    one probe stack in place of an array, the batched oracle sees every
+    probe in it."""
     blocks = []
     for i in range(cfg.n_layers):
         pre = f"block{i}"
@@ -193,8 +194,110 @@ def _oracle_loss(refs, cfg, tokens1, tokens2):
     return nt + GRAD_LAMBDA * orth
 
 
-def test_acceptance_gradient_integrity():
-    started = time.monotonic()
+GRAD_PROBES = 64  # entries of one array moved per batched oracle call, up and down
+
+
+def _probe_rank(name):
+    """The rank of a probe stack of the named array: a leading probe axis,
+    then singleton axes that line it up with the oracle's leading axis.
+    Block and embedding arrays meet [B, T, d] activations, head arrays
+    [B, d] ones; a norm site's rows are looked up per probe."""
+    if name.startswith("proj.") or name.endswith((".gamma", ".beta", ".prototypes")):
+        return 3
+    return 4
+
+
+def _probe_stack(name, array, entries, eps):
+    """2 k copies of ``array`` for its k flat ``entries``: copy i holds
+    entry i moved up by eps, copy k + i the same entry moved down, the
+    values the scalar gate writes in place."""
+    k = len(entries)
+    flat = np.repeat(array.reshape(1, -1), 2 * k, axis=0)
+    orig = array.reshape(-1)[entries]
+    flat[np.arange(k), entries] = orig + eps
+    flat[k + np.arange(k), entries] = orig - eps
+    lead = (2 * k,) + (1,) * (_probe_rank(name) - 1 - array.ndim)
+    return flat.reshape(lead + array.shape)
+
+
+def _oracle_losses(refs, cfg, tokens1, tokens2):
+    """``_oracle_loss`` at every probe of a stack, as one array: one array
+    of ``refs`` may be a probe stack (``_probe_stack``), whose leading axis
+    every activation it reaches takes on, and all others broadcast. Each
+    site's dropout mask is drawn once at [B, T, d], in the scalar oracle's
+    order, and broadcast over the probes."""
+    blocks, heads = refs
+    drop = np.random.default_rng(DROP_SEED)
+    d, nheads = cfg.d_model, cfg.n_heads
+    dh = d // nheads
+    eye_p = np.eye(cfg.n_prototypes)
+    keep = 1.0 - cfg.dropout
+
+    def rows(table, idx):
+        """Row idx of a [n, d] table, or of probe k's rows of a [K, n, d]
+        stack, for idx [..., B]: [..., B, 1, d]."""
+        if table.ndim == 2:
+            return table[idx][..., None, :]
+        idx = np.broadcast_to(idx, table.shape[:1] + idx.shape[-1:])
+        return np.take_along_axis(table, idx[..., None], axis=1)[..., None, :]
+
+    def ln_site(h, site):
+        gammas, betas, bank = site
+        feats = h.mean(axis=-2)
+        d2 = ((feats[..., :, None, :] - bank[..., None, :, :]) ** 2).sum(axis=-1)
+        idx = np.argmin(d2, axis=-1)
+        mu = h.mean(-1, keepdims=True)
+        var = ((h - mu) ** 2).mean(-1, keepdims=True)
+        xhat = (h - mu) / np.sqrt(var + cfg.epsilon)
+        return rows(gammas, idx) * xhat + rows(betas, idx)
+
+    def split(x):  # [..., B, T, d] -> [..., B, heads, T, dh]
+        return x.reshape(x.shape[:-1] + (nheads, dh)).swapaxes(-2, -3)
+
+    def encode(tokens):
+        h = tokens @ heads["embed"][0] + heads["embed"][1] + heads["pos"]
+        for blk in blocks:
+            q = split(h @ blk["wq"][0] + blk["wq"][1])
+            k = split(h @ blk["wk"][0] + blk["wk"][1])
+            v = split(h @ blk["wv"][0] + blk["wv"][1])
+            scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
+            m = scores.max(axis=-1, keepdims=True)
+            e = np.exp(scores - m)
+            attn = e / e.sum(-1, keepdims=True)
+            ctx = (attn @ v).swapaxes(-2, -3)
+            ctx = ctx.reshape(ctx.shape[:-2] + (d,))
+            a = ctx @ blk["wo"][0] + blk["wo"][1]
+            mask = (drop.random(a.shape[-3:]) >= cfg.dropout) / keep
+            h = ln_site(h + a * mask, blk["norm1"])
+            f = np.maximum(h @ blk["fc1"][0] + blk["fc1"][1], 0.0)
+            f = f @ blk["fc2"][0] + blk["fc2"][1]
+            mask = (drop.random(f.shape[-3:]) >= cfg.dropout) / keep
+            h = ln_site(h + f * mask, blk["norm2"])
+        pooled = h.mean(axis=-2)
+        z = np.maximum(pooled @ heads["fc1"][0] + heads["fc1"][1], 0.0)
+        return z @ heads["fc2"][0] + heads["fc2"][1]
+
+    z = np.concatenate([encode(tokens1), encode(tokens2)], axis=-2)
+    n = z.shape[-2]
+    half = n // 2
+    zn = z / np.sqrt((z * z).sum(axis=-1, keepdims=True))
+    sims = zn @ zn.swapaxes(-1, -2)
+    logits = sims / GRAD_TAU + np.where(np.eye(n, dtype=bool), -1e9, 0.0)
+    m = logits.max(axis=-1, keepdims=True)
+    lse = (np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)) + m)[..., 0]
+    pos = logits[..., np.arange(n), (np.arange(n) + half) % n]
+    nt = (lse - pos).mean(axis=-1)
+    orth = 0.0
+    for blk in blocks:
+        for tag in ("norm1", "norm2"):
+            bank = blk[tag][2]
+            g = bank @ bank.swapaxes(-1, -2) - eye_p
+            orth = orth + (g * g).sum(axis=(-2, -1))
+    return nt + GRAD_LAMBDA * orth
+
+
+def _gradient_check_setup():
+    """The gate's encoder and its two augmented views of two series."""
     cfg = GRAD_CFG
     streams = RngStreams.from_seed(0)
     enc = Encoder(cfg, streams.params, streams.protos)
@@ -204,6 +307,49 @@ def test_acceptance_gradient_integrity():
     views = [augment_pair(s, AugmentConfig(), aug_rng) for s in x]
     v1 = np.stack([a for a, _ in views])
     v2 = np.stack([b for _, b in views])
+    return enc, v1, v2
+
+
+def test_batched_oracle_equals_the_scalar_oracle():
+    """At random probes of every parameter array, moved up and down by the
+    gate's eps, the batched oracle gives the scalar oracle's loss within
+    1e-12 relative, so batching the gate's probes cannot hide an oracle
+    bug."""
+    cfg = GRAD_CFG
+    enc, v1, v2 = _gradient_check_setup()
+    tokens1 = patchify(v1, cfg.patch_size)
+    tokens2 = patchify(v2, cfg.patch_size)
+    params = {k: t.data for k, t in enc.parameters().items()}
+    refs = _oracle_refs(params, cfg)
+    rng = np.random.default_rng(9)
+    eps = 1e-5
+    worst = 0.0
+    for name, array in params.items():
+        entries = rng.choice(array.size, size=min(4, array.size), replace=False)
+        stack = _probe_stack(name, array, entries, eps)
+        batched = _oracle_losses(_oracle_refs({**params, name: stack}, cfg), cfg, tokens1, tokens2)
+        assert batched.shape == (2 * len(entries),), name
+        flat = array.reshape(-1)
+        for i, j in enumerate(entries):
+            orig = flat[j]
+            for row, value in ((i, orig + eps), (len(entries) + i, orig - eps)):
+                flat[j] = value
+                scalar = _oracle_loss(refs, cfg, tokens1, tokens2)
+                gap = abs(batched[row] - scalar) / abs(scalar)
+                assert gap <= 1e-12, f"{name}[{j}]: batched {batched[row]!r}, scalar {scalar!r}"
+                worst = max(worst, gap)
+            flat[j] = orig
+    report(
+        "batched oracle",
+        f"{len(params)} parameter arrays, 4 probes each up and down: worst "
+        f"relative gap to the scalar oracle {worst:.1e}",
+    )
+
+
+def test_acceptance_gradient_integrity():
+    started = time.monotonic()
+    cfg = GRAD_CFG
+    enc, v1, v2 = _gradient_check_setup()
 
     def graph_loss():
         drop = np.random.default_rng(DROP_SEED)
@@ -213,38 +359,41 @@ def test_acceptance_gradient_integrity():
         orth = [orthogonality_loss(b.P) for b in enc.banks()]
         return total_loss(nt, orth, GRAD_LAMBDA)
 
-    refs = _oracle_refs(enc, cfg)
+    params = enc.parameters()
+    arrays = {k: t.data for k, t in params.items()}
+    refs = _oracle_refs(arrays, cfg)
     tokens1 = patchify(v1, cfg.patch_size)
     tokens2 = patchify(v2, cfg.patch_size)
 
-    # the two routes must agree at the base point before FD means anything
+    # the two routes must agree at the base point before FD means anything,
+    # through the scalar oracle and through the batched one the probes use
     with no_grad():
         base_graph = graph_loss().item()
-    base_oracle = _oracle_loss(refs, cfg, tokens1, tokens2)
-    assert abs(base_graph - base_oracle) <= 1e-12 * max(1.0, abs(base_graph))
+    for base_oracle in (
+        _oracle_loss(refs, cfg, tokens1, tokens2),
+        float(_oracle_losses(refs, cfg, tokens1, tokens2)),
+    ):
+        assert abs(base_graph - base_oracle) <= 1e-12 * max(1.0, abs(base_graph))
 
     loss = graph_loss()
     loss.backward()
 
     eps = 1e-5
-    params = enc.parameters()
     checked = 0
     worst = ("", 0.0)
     for name, t in params.items():
         analytic = t.grad
         assert analytic is not None, name
-        numeric = np.zeros_like(t.data)
-        flat = t.data.ravel()  # contiguous view: edits hit the oracle refs
-        nflat = numeric.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            up = _oracle_loss(refs, cfg, tokens1, tokens2)
-            flat[j] = orig - eps
-            down = _oracle_loss(refs, cfg, tokens1, tokens2)
-            flat[j] = orig
-            nflat[j] = (up - down) / (2 * eps)
-        err = _fd_rel_error(analytic, numeric)
+        numeric = np.zeros(t.size)
+        for start in range(0, t.size, GRAD_PROBES):
+            entries = np.arange(start, min(start + GRAD_PROBES, t.size))
+            stack = _probe_stack(name, t.data, entries, eps)
+            losses = _oracle_losses(
+                _oracle_refs({**arrays, name: stack}, cfg), cfg, tokens1, tokens2
+            )
+            up, down = losses[: len(entries)], losses[len(entries) :]
+            numeric[entries] = (up - down) / (2 * eps)
+        err = _fd_rel_error(analytic, numeric.reshape(t.shape))
         assert err < 1e-4, f"{name}: rel err {err:.2e}"
         if err > worst[1]:
             worst = (name, err)

@@ -1,6 +1,7 @@
 """Data pipeline: parsing, length standardization, synthetic generation, batching."""
 
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from protonorm import (
     standardize_dataset,
     train_val_split,
 )
-from protonorm.data import Dataset, flatten_pool
+from protonorm.data import Dataset, _read_tab_separated, flatten_pool
 from protonorm.training import _epoch_batches
 
 
@@ -166,15 +167,20 @@ def test_dataset_rejects_a_negative_label_by_name():
         Dataset("signed", np.zeros((3, 1, 4)), np.array([0, 1, -1]))
 
 
-def _reference_zscore(series):
-    m = series.mean()
-    s = series.std()
+def _reference_zscore(path, lineno, series):
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = series.mean()
+        s = series.std()
+    for name, stat in (("mean", m), ("standard deviation", s)):
+        if not np.isfinite(stat):
+            raise ParseError(f"{path}: line {lineno}: the {name} of the values overflows")
     return (series - m) / (s + 1e-8)
 
 
 def _reference_load(path):
     """The per-line loader ``load_ucr_tsv`` replaced: every field through
-    ``float()`` one at a time, each series z-scored on its own."""
+    ``float()`` one at a time, each series z-scored on its own, and a row
+    whose mean or standard deviation overflows refused by name."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [
             (lineno, ln.rstrip("\n"))
@@ -218,12 +224,12 @@ def _reference_load(path):
                 f"{path}: line {lineno}: non-finite value {row[k]} in field {k + 2}"
             )
         raw_labels.append(int(label))
-        rows.append(row)
+        rows.append((lineno, row))
 
     uniq = sorted(set(raw_labels))
     remap = {orig: i for i, orig in enumerate(uniq)}
     labels = np.asarray([remap[l] for l in raw_labels], dtype=np.int64)
-    series = np.stack([_reference_zscore(r) for r in rows])[:, None, :]
+    series = np.stack([_reference_zscore(path, n, r) for n, r in rows])[:, None, :]
     return series, labels
 
 
@@ -236,6 +242,40 @@ def _full_precision_file(seed, n, length):
         "\t".join([str(label)] + [repr(float(v)) for v in row]) + "\n"
         for row, label in zip(x, labels)
     )
+
+
+def _hard_decimals_file(seed, n_rows, length):
+    """Decimals that are hard to round, one kind and one scale to a row:
+    17-25-digit mantissas, exact midpoints between neighbouring doubles
+    written out in decimal, those midpoints a last digit above or below,
+    and subnormals, as long mantissas and as exact midpoints."""
+    rng = np.random.default_rng(seed)
+
+    def long_mantissa(exponent):
+        digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(17, 26)))))
+        return f"{digits[0]}.{digits[1:]}e{exponent}"
+
+    lines = []
+    with localcontext() as ctx:
+        ctx.prec = 800  # every midpoint below is exact
+        for r in range(n_rows):
+            scale, kind = int(rng.integers(-150, 150)), r % 4
+            fields = [str(r % 3)]
+            for _ in range(length):
+                if kind == 0:
+                    fields.append(long_mantissa(scale))
+                elif kind in (1, 2):
+                    x = float(rng.uniform(1.0, 10.0)) * 10.0**scale
+                    mid = (Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+                    if kind == 2:
+                        mid = mid.next_plus(ctx) if rng.random() < 0.5 else mid.next_minus(ctx)
+                    fields.append(str(mid))
+                elif rng.random() < 0.5:
+                    fields.append(long_mantissa(-int(rng.integers(309, 324))))
+                else:  # halfway between two subnormals
+                    fields.append(str(Decimal(2) ** -1075 * (2 * int(rng.integers(0, 2**40)) + 1)))
+            lines.append("\t".join(fields) + "\n")
+    return "".join(lines)
 
 
 DIFFERENTIAL_FILES = {
@@ -284,6 +324,22 @@ DIFFERENTIAL_FILES = {
     "full-precision-2000x128": _full_precision_file(5, 2000, 128),  # a benchmark test file
     "full-precision-50x1000": _full_precision_file(6, 50, 1000),  # a long UCR series
     "finite-values-whose-mean-overflows": "1\t1e308\t1e308\t-1e308\n0\t1\t2\t3\n",
+    "spread-overflows-before-a-mean": "0\t1\t2\t3\n1\t1e308\t-1e308\t0\n0\t1e308\t1e308\t1\n",
+    "mean-overflows-after-blank-lines": "\n0\t1\t2\t3\r\n\n1\t1e308\t1e308\t-1e308\n",
+    "hard-decimals": _hard_decimals_file(7, 40, 6),
+    "subnormal-spellings": "1\t5e-324\t2.4703282292062328e-324\t2.2250738585072011e-308\n"
+    "0\t2.2250738585072012e-308\t4.9406564584124654e-324\t1e-320\n",
+    "crlf-tab-separated": _full_precision_file(8, 9, 12).replace("\n", "\r\n"),
+    "trailing-tab": "1\t0.5\t1.5\t\n2\t1.5\t0.5\t\n",
+    "whitespace-only-line-between-rows": "1\t0.5\t1.5\n \t \n2\t1.5\t0.5\n",
+    "comma-separated": _full_precision_file(9, 6, 5).replace("\t", ","),
+    "space-separated": _full_precision_file(10, 6, 5).replace("\t", " "),
+    "tab-and-comma-lines": "1\t0.5\t1.5\n2,1.5,0.5\n1\t0.25\t0.75\n",
+    "non-ascii-space": "1\t0.5\u00a0\t1.5\n2\t1.5\t0.5\n",
+    "non-ascii-letter": "1\t0.5\t1.5\n2\t1.5\u00e9\t0.5\n",
+    "hash-inside-a-field": "1\t0.5\t1.5\n2\t1.5#2\t0.5\n",
+    "hash-line": "# label, values\n1\t0.5\t1.5\n",
+    "file-separator-byte": "1\t0.5\t1.5\n2\t1.5\x1c\t0.5\n",  # whitespace to loadtxt alone
 }
 
 
@@ -308,6 +364,32 @@ def test_load_matches_the_per_line_reference(tmp_path, case):
     assert got.series.shape == series.shape
     assert got.series.tobytes() == series.tobytes()
     assert got.labels.dtype == labels.dtype and np.array_equal(got.labels, labels)
+
+
+@pytest.mark.parametrize(
+    "case, whole",
+    [
+        ("full-precision-2000x128", True),
+        ("hard-decimals", True),
+        ("crlf-tab-separated", True),
+        ("blank-lines", True),
+        ("comma-separated", False),
+        ("space-separated", False),
+        ("tab-and-comma-lines", False),
+        ("trailing-tab", False),
+        ("whitespace-only-line-between-rows", False),
+        ("non-ascii-space", False),
+        ("file-separator-byte", False),
+        ("underscores", False),
+        ("empty", False),
+    ],
+)
+def test_a_tab_separated_ascii_file_is_read_whole(tmp_path, case, whole):
+    """``load_ucr_tsv`` reads an ASCII tab-separated file with one loadtxt
+    call and gives any other file to the line parser."""
+    path = tmp_path / f"{case}.txt"
+    path.write_bytes(DIFFERENTIAL_FILES[case].encode("utf-8"))
+    assert (_read_tab_separated(path) is not None) == whole
 
 
 # -- standardize ---------------------------------------------------------

@@ -1,5 +1,7 @@
 """Prototype-gated normalization: routing, EMA law, orthogonality."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -211,12 +213,21 @@ ROUTING_BANKS = {
 }
 
 
+OVERFLOWING_BANKS = ("features-near-1e200", "scores-overflow")
+
+
 @pytest.mark.parametrize("case", sorted(ROUTING_BANKS))
 def test_gemm_routing_decides_as_the_direct_distances(case):
     """Each row's routing equals the direct-distance argmin, ties to the
-    lowest index, on banks where the expanded scores are close to a tie,
-    cancel badly or overflow."""
+    lowest index, on banks where the expanded scores are close to a tie or
+    cancel badly; a bank whose scores could overflow is an InputError that
+    states the largest feature, not a route to prototype 0."""
     features, P = ROUTING_BANKS[case](np.random.default_rng(20))
+    if case in OVERFLOWING_BANKS:
+        message = f"too large to route: max |f| = {np.abs(features).max():.6g} with"
+        with pytest.raises(InputError, match=re.escape(message)):
+            _gated(P).select_indices(features[:, None, :])
+        return
     idx, feats = _gated(P).select_indices(features[:, None, :])
     assert np.array_equal(feats, features)
     assert idx.shape == (len(features),)

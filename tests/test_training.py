@@ -793,6 +793,40 @@ def test_completed_pretrain_links_final_ckpt_to_its_last_ckpt(tmp_path):
     assert (again / "final.ckpt").read_bytes() == final.read_bytes()
 
 
+@pytest.mark.parametrize("val_losses", [(3.0, 2.0), (2.0, 3.0)])
+def test_best_ckpt_is_a_link_to_the_last_ckpt_of_its_epoch(tmp_path, monkeypatch, val_losses):
+    """An epoch whose validation improves writes its state once and names
+    it ``best.ckpt`` and ``last.ckpt``: when the last epoch improves the
+    two are one file, and when it does not ``best.ckpt`` keeps the bytes
+    the first epoch's ``last.ckpt`` had."""
+    from protonorm import training
+
+    scripted = iter(val_losses)
+    first_last = []
+
+    def scripted_validation_loss(*args):
+        if first_last == [] and (tmp_path / "last.ckpt").exists():
+            first_last.append((tmp_path / "last.ckpt").read_bytes())
+        return next(scripted)
+
+    monkeypatch.setattr(training, "_validation_loss", scripted_validation_loss)
+    _, enc, streams = desk_encoder(seed=21)
+    result = run_pretrain(
+        enc, streams, tiny_pool(), seed=21, out_dir=str(tmp_path), val_pool=tiny_pool(seed=22)
+    )
+    best, last = tmp_path / "best.ckpt", tmp_path / "last.ckpt"
+    assert result.best_checkpoint == str(best)
+    assert not list(tmp_path.glob("*.tmp"))
+    _, state, _, _ = load_checkpoint(best)
+    if val_losses[1] < val_losses[0]:
+        assert os.path.samefile(best, last)
+        assert state.epoch == 2 and state.best_val == 2.0
+    else:
+        assert not os.path.samefile(best, last)
+        assert best.read_bytes() == first_last[0]
+        assert state.epoch == 1 and state.best_val == 2.0
+
+
 def test_interrupted_pretrain_keeps_moments_and_gradients():
     _, enc, streams = desk_encoder(seed=16)
     result = run_pretrain(enc, streams, tiny_pool(), seed=16, stop_after_steps=3)
