@@ -18,9 +18,7 @@ from protonorm import (
     pretrain,
 )
 
-pool = make_synthetic_clusters(
-    2, 48, 128, np.random.default_rng(100), offsets=[-5.0, 5.0]
-)
+pool = make_synthetic_clusters(2, 48, 128, np.random.default_rng(100))  # offsets -5, +5
 cfg = EncoderConfig()  # desk defaults: d_model=64, 3 layers, 4 prototypes
 streams = RngStreams.from_seed(101)
 encoder = Encoder(cfg, streams.params, streams.protos)

@@ -1,73 +1,44 @@
 """Distribution-shift experiment in miniature: pretrain on a clean source
 plus its noise-corrupted twin, fine-tune on 100 clean samples, and compare
-prototype-gated normalization against the plain-LN baseline."""
+prototype-gated normalization against the plain-LN baseline. The protocol
+is ``protonorm.cli.shift_protocol``, the one a ``sweep sigma`` leg runs;
+the run settings are one config file, loaded per seed and norm mode."""
 
-import dataclasses
+import json
+import os
+import tempfile
 
 import numpy as np
 
-from protonorm import (
-    AugmentConfig,
-    Encoder,
-    EncoderConfig,
-    NtXentConfig,
-    OptimConfig,
-    RngStreams,
-    TrainState,
-    finetune,
-    make_shifted_variant,
-    make_synthetic_clusters,
-    pretrain,
-    train_val_split,
-)
+from protonorm import make_synthetic_clusters
+from protonorm.cli import shift_protocol
+from protonorm.config import load_run_config
 
 SIGMA = 0.3
-
-
-def run(seed, norm_mode):
-    source = make_synthetic_clusters(
-        1, 240, 128, np.random.default_rng(seed), noise_std=0.02, scales=[0.2]
-    )[0]
-    train, test = train_val_split(source, 0.25, np.random.default_rng(seed + 1))
-    test = dataclasses.replace(test, split="test")
-    noisy_twin = make_shifted_variant(
-        train, SIGMA, np.random.default_rng(seed + 2), dataset_id=1
-    )
-    cfg = EncoderConfig(norm_mode=norm_mode)
-    streams = RngStreams.from_seed(seed)
-    encoder = Encoder(cfg, streams.params, streams.protos)
-    pretrain(
-        [train, noisy_twin],
-        encoder,
-        AugmentConfig(),
-        NtXentConfig(),
-        OptimConfig(warmup_steps=20),
-        epochs=4,
-        batch_size=32,
-        seed=seed,
-        state=TrainState(streams=streams),
-    )
-    ft_train, ft_val = train_val_split(train, 0.2, np.random.default_rng(seed + 3))
-    result = finetune(
-        (ft_train, ft_val, test),
-        encoder,
-        OptimConfig(warmup_steps=10),
-        epochs=10,
-        batch_size=16,
-        n_labeled=100,
-        seed=seed,
-    )
-    return result.metrics
-
+CONFIG = {  # desk-scale encoder defaults
+    "optim": {"warmup_steps": 20},
+    "pretrain": {"epochs": 4, "batch_size": 32},
+    "finetune": {"epochs": 10, "batch_size": 16, "n_labeled": 100},
+    "data": {"test_fraction": 0.25, "val_fraction": 0.2},
+}
 
 seeds = (41, 42, 43)
 proto, plain = [], []
-for seed in seeds:
-    m_p = run(seed, "proto-gated")
-    m_l = run(seed, "plain-LN")
-    proto.append(m_p.accuracy)
-    plain.append(m_l.accuracy)
-    print(f"seed {seed}: proto-gated {m_p.accuracy:.3f} | plain-LN {m_l.accuracy:.3f}")
+with tempfile.TemporaryDirectory(prefix="protonorm-demo-") as workdir:
+    path = os.path.join(workdir, "config.json")
+    with open(path, "w") as fh:
+        json.dump(CONFIG, fh)
+    for seed in seeds:
+        source = make_synthetic_clusters(
+            1, 240, 128, np.random.default_rng(seed), noise_std=0.02, scales=[0.2]
+        )[0]
+        acc = {}
+        for mode in ("proto-gated", "plain-LN"):
+            cfg = load_run_config(path, flags={"seed": seed, "norm_mode": mode}, env={})
+            acc[mode] = shift_protocol(cfg, source, SIGMA).accuracy
+        proto.append(acc["proto-gated"])
+        plain.append(acc["plain-LN"])
+        print(f"seed {seed}: proto-gated {proto[-1]:.3f} | plain-LN {plain[-1]:.3f}")
 
 print(f"\nmean over {len(seeds)} seeds: proto-gated {np.mean(proto):.4f}, "
       f"plain-LN {np.mean(plain):.4f} (sigma={SIGMA} twin in the pool)")

@@ -129,6 +129,24 @@ def _finetune(cfg, encoder, splits):
     )
 
 
+def shift_protocol(cfg, source, sigma):
+    """The distribution-shift protocol on one source dataset, returning
+    the test Metrics. The source is brought to ``encoder.input_len`` and
+    ``data.test_fraction`` of it is cut as the test split first; an
+    encoder is pretrained on the rest plus a copy of it with Gaussian
+    noise of std ``sigma`` (dataset id 1), and fine-tuned on the rest,
+    with ``data.val_fraction`` of it held out for validation. No test
+    series reaches pretraining. The split and the noise draw from the
+    seed's streams 2 and 12."""
+    source = standardize_dataset(source, cfg.encoder.input_len)
+    split_rng = _derived_rng(cfg.seed, 2)
+    train, test = train_val_split(source, cfg.data.test_fraction, split_rng)
+    twin = make_shifted_variant(train, sigma, _derived_rng(cfg.seed, 12), dataset_id=1)
+    ft_train, ft_val = train_val_split(train, cfg.data.val_fraction, split_rng)
+    encoder = _pretrain(cfg, [train, twin], None).encoder
+    return _finetune(cfg, encoder, (ft_train, ft_val, replace(test, split="test"))).metrics
+
+
 def _load_pretrain_pool(cfg):
     if not cfg.data.pretrain_paths:
         raise ConfigError("data.pretrain_paths is empty; nothing to pretrain on")
@@ -285,31 +303,16 @@ def _leg_config(cfg, axis, value):
 
 def _run_leg(leg_cfg, axis):
     """One pretrain -> finetune -> eval pipeline, in memory. A sigma leg
-    pretrains on the source and one variant noised by its data.sigmas."""
+    runs ``shift_protocol`` on the source at its one data.sigmas value."""
     if axis == "sigma":
         if leg_cfg.data.source_path is None:
             raise ConfigError("sigma sweep needs data.source_path")
         source = load_ucr_tsv(leg_cfg.data.source_path, name="source", dataset_id=0)
-        source = standardize_dataset(source, leg_cfg.encoder.input_len)
-        split_rng = _derived_rng(leg_cfg.seed, 2)
-        src_train, src_test = train_val_split(
-            source, leg_cfg.data.test_fraction, split_rng
-        )
         (sigma,) = leg_cfg.data.sigmas
-        variant = make_shifted_variant(
-            src_train, sigma, _derived_rng(leg_cfg.seed, 12), dataset_id=1
-        )
-        train_pool = [src_train, variant]
-        val_pool = None
-        ft_train, ft_val = train_val_split(
-            src_train, leg_cfg.data.val_fraction, split_rng
-        )
-        splits = (ft_train, ft_val, replace(src_test, split="test"))
-    else:
-        train_pool, val_pool = _load_pretrain_pool(leg_cfg)
-        splits = _load_finetune_splits(leg_cfg)
+        return shift_protocol(leg_cfg, source, sigma)
+    train_pool, val_pool = _load_pretrain_pool(leg_cfg)
     encoder = _pretrain(leg_cfg, train_pool, val_pool).encoder
-    return _finetune(leg_cfg, encoder, splits).metrics
+    return _finetune(leg_cfg, encoder, _load_finetune_splits(leg_cfg)).metrics
 
 
 def _leg_configs(cfg, axis):

@@ -186,7 +186,8 @@ def _line_of_row(path, k):
 
 
 def _class_indices(path, values, classes):
-    """The index of each label value in the sorted ``classes``; a value
+    """The index of each label value in the sorted ``classes``, the file's
+    own label values or those of the file a model was trained on; a value
     that is not one of them is a ParseError naming its line."""
     known = np.asarray(classes, dtype=np.float64)
     idx = np.searchsorted(known, values)
@@ -234,11 +235,8 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train", classes=None):
     if table is None:
         table = _parse_lines(path)
     if classes is None:
-        values, labels = np.unique(table[:, 0], return_inverse=True)
-        classes = tuple(int(v) for v in values)
-    else:
-        labels = _class_indices(path, table[:, 0], classes)
-        classes = tuple(classes)
+        classes = tuple(int(v) for v in np.unique(table[:, 0]))
+    labels = _class_indices(path, table[:, 0], classes)
     x = table[:, 1:]  # row-wise mean and std: the bits of a per-row z-score
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=1, keepdims=True)
@@ -252,7 +250,7 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train", classes=None):
         labels=labels,
         dataset_id=dataset_id,
         split=split,
-        classes=classes,
+        classes=tuple(classes),
     )
 
 
@@ -344,12 +342,12 @@ def make_synthetic_clusters(
     n_per,
     length,
     rng,
-    offsets=None,
     scales=None,
     freq_band=(2.0, 8.0),
     noise_std=0.1,
 ):
-    """Sinusoid-plus-noise datasets with per-dataset offset and scale.
+    """Sinusoid-plus-noise datasets with per-dataset offset and scale. The
+    offsets are evenly spaced over [-5, 5] (0 for a single dataset).
 
     Class rule: label 0 draws its frequency from the lower half of
     freq_band, label 1 from the upper half; labels alternate per sample so
@@ -358,12 +356,11 @@ def make_synthetic_clusters(
     """
     if k_datasets < 1:
         raise ConfigError(f"k_datasets must be >= 1, got {k_datasets}")
-    if offsets is None:
-        offsets = [0.0] if k_datasets == 1 else list(np.linspace(-5.0, 5.0, k_datasets))
+    offsets = [0.0] if k_datasets == 1 else list(np.linspace(-5.0, 5.0, k_datasets))
     if scales is None:
         scales = [1.0] * k_datasets
-    if len(offsets) != k_datasets or len(scales) != k_datasets:
-        raise ConfigError("offsets/scales length must equal k_datasets")
+    if len(scales) != k_datasets:
+        raise ConfigError("scales length must equal k_datasets")
     lo, hi = freq_band
     mid = 0.5 * (lo + hi)
     t = np.arange(length) / length
@@ -398,7 +395,9 @@ def batches(pool, batch_size):
 
 def flatten_pool(pool):
     """The union of a pool as one Batch, in pool order; the pool's datasets
-    must all hold series of one shape."""
+    must all hold series of one shape and finite values only. A series
+    with a NaN or an infinity is an ``InputError`` naming its dataset and
+    its index there, before any model sees it."""
     datasets = [ds for ds in ([pool] if isinstance(pool, Dataset) else pool) if len(ds)]
     if not datasets:
         raise InputError("empty pool: no samples to batch")
@@ -409,6 +408,13 @@ def flatten_pool(pool):
                 f"expected {datasets[0].shape}"
             )
     x = np.concatenate([ds.series for ds in datasets])
+    if not np.isfinite(x).all():
+        for ds in datasets:
+            finite = np.isfinite(ds.series).reshape(len(ds), -1).all(axis=1)
+            if not finite.all():
+                raise InputError(
+                    f"{ds.name}: sample {int(np.argmin(finite))} holds a non-finite value"
+                )
     labels = np.concatenate([ds.labels for ds in datasets])
     ids = np.repeat([ds.dataset_id for ds in datasets], [len(ds) for ds in datasets])
     return Batch(x, labels, ids.astype(np.int64))

@@ -40,6 +40,9 @@ def test_summary_counts_pairs_won_in_the_metric_direction():
     ]
     lower = ab.summarize(pairs, "peak_rss_mb", "lower")
     assert lower["peak_rss_mb_pairs_won"] == {"change": 1, "pairs": 3}  # a tie wins nothing
+    assert lower["peak_rss_mb_pair_ratios"] == {"min": 500.0 / 700.0, "q1": 500.0 / 700.0,
+                                                "median": 1.0, "q3": 730.0 / 720.0,
+                                                "max": 730.0 / 720.0, "n": 3}
     assert ab.summarize(pairs, "pretrain_samples_per_s", "higher")[
         "pretrain_samples_per_s_pairs_won"] == {"change": 2, "pairs": 3}
     rss = lower["metrics"]["peak_rss_mb"]

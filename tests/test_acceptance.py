@@ -490,9 +490,7 @@ def test_acceptance_orthogonality_mechanics():
 
 
 def test_acceptance_gating_purity():
-    pool = make_synthetic_clusters(
-        2, 64, 128, np.random.default_rng(100), offsets=[-5.0, 5.0]
-    )
+    pool = make_synthetic_clusters(2, 64, 128, np.random.default_rng(100))
     cfg = EncoderConfig(
         input_len=128,
         patch_size=16,

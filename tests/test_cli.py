@@ -675,6 +675,31 @@ def test_sigma_sweep_keeps_the_test_split_out_of_pretraining(tmp_path, monkeypat
     assert not any(s.tobytes() in pretrained for s in seen["test"].series)
 
 
+def test_sigma_sweep_runs_the_shift_protocol(tmp_path):
+    """Each ``sweep sigma`` row holds the repr of the accuracy and macro-F1
+    that ``shift_protocol`` gives on the config's loaded source at that
+    sigma: the sweep runs the one protocol."""
+    from protonorm.cli import shift_protocol
+
+    cfg = desk_config(tmp_path)
+    out = tmp_path / "runs"
+    run(["generate", "--config", cfg, "--out", out])
+    doc = json.loads(cfg.read_text())
+    doc["data"]["source_path"] = os.path.join(only_run_dir(out, "generate-"), "cluster0.tsv")
+    doc["sweep"] = {"n_prototypes": [], "sigma": [0.0, 0.3], "lambda": []}
+    cfg_path = tmp_path / "sigma.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert run(["sweep", "sigma", "--config", cfg_path, "--out", out]) == 0
+    lines = open(os.path.join(only_run_dir(out, "sweep-sigma-"), "sweep.csv")).read()
+    rows = [line.split(",") for line in lines.strip().splitlines()[1:]]
+    run_cfg = load_run_config(cfg_path)
+    source = load_ucr_tsv(run_cfg.data.source_path)
+    for row, sigma in zip(rows, (0.0, 0.3), strict=True):
+        metrics = shift_protocol(run_cfg, source, sigma)
+        assert row[:4] == ["sigma", str(sigma), repr(metrics.accuracy), repr(metrics.macro_f1)]
+        assert row[-1] == "ok"
+
+
 def test_failed_trace_write_leaves_the_previous_trace(tmp_path, monkeypatch):
     import protonorm.cli as cli
 

@@ -491,9 +491,7 @@ def test_synthetic_single_dataset_balanced():
 
 
 def test_synthetic_offsets_separate_series_means():
-    a, b = make_synthetic_clusters(
-        2, 50, 64, np.random.default_rng(10), offsets=[-5.0, 5.0]
-    )
+    a, b = make_synthetic_clusters(2, 50, 64, np.random.default_rng(10))
     mean_a = np.mean([s.mean() for s in a.series])
     mean_b = np.mean([s.mean() for s in b.series])
     assert mean_b - mean_a >= 5.0

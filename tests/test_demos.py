@@ -1,8 +1,9 @@
 """Smoke test: the narrative demos run to completion against this package.
 
-Demo 04 is left out: it runs the distribution-shift protocol that
-``test_acceptance_distribution_shift_direction`` already covers, and it
-is by far the slowest of the five.
+Demo 04 is left out: it is by far the slowest of the five (six desk
+pretrain and fine-tune runs, about 12 s on a 2-core machine), and the
+protocol it runs, ``protonorm.cli.shift_protocol``, is already run by the
+sigma-sweep tests in ``test_cli.py``.
 """
 
 import os

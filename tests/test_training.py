@@ -937,9 +937,7 @@ def test_pretrain_rejects_a_pool_of_mixed_lengths():
 
 
 def test_pretrain_two_cluster_gating_purity():
-    pool = make_synthetic_clusters(
-        2, 40, 32, np.random.default_rng(20), offsets=[-5.0, 5.0]
-    )
+    pool = make_synthetic_clusters(2, 40, 32, np.random.default_rng(20))
     cfg, enc, streams = desk_encoder(seed=21, n_prototypes=4, dropout=0.0)
     run_pretrain(enc, streams, pool, seed=21, epochs=3)
     # audit: full eval pass, brute-force distance recomputation per sample
@@ -1171,3 +1169,28 @@ def test_evaluate_rejects_empty_and_mismatched():
     bad = Dataset(bad.name, bad.series, bad.labels + 5, bad.dataset_id, "test")
     with pytest.raises(InputError):
         evaluate(result.encoder, bad)
+
+
+def test_a_non_finite_series_is_refused_naming_its_dataset_and_sample():
+    """pretrain refuses a pool with a NaN before any step, and plain-LN
+    evaluate, which no routing check guards, a test set with an infinity
+    before scoring it; each error names the dataset and the sample's index
+    in it."""
+    pool = tiny_pool(seed=15)
+    pool[1].series[5, 0, 3] = np.nan
+    cfg, enc, streams = desk_encoder(seed=15)
+    before = {k: t.data.copy() for k, t in enc.parameters().items()}
+    with pytest.raises(InputError, match=r"^cluster1: sample 5 holds a non-finite value$"):
+        run_pretrain(enc, streams, pool, seed=15)
+    assert all(np.array_equal(t.data, before[k]) for k, t in enc.parameters().items())
+
+    cfg, enc, streams = desk_encoder(seed=36, norm_mode="plain-LN")
+    splits = separable_task(seed=37)
+    result = finetune(
+        splits, enc, OptimConfig(warmup_steps=2),
+        epochs=1, batch_size=16, n_labeled="all", seed=36,
+    )
+    test = dataclasses.replace(splits[2], series=splits[2].series.copy())
+    test.series[3, 0, 0] = np.inf
+    with pytest.raises(InputError, match=r"^separable: sample 3 holds a non-finite value$"):
+        evaluate(result.encoder, test)

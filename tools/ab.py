@@ -28,9 +28,12 @@ and the claimed workload's entry alone counts the pairs the change won on
 that metric (in the direction ``BENCHMARK.json`` gives) and rules on the
 claim under ``claim_verdict``: "met" when the change won at least 9 of
 every 10 pairs and its median beats the parent's by more than the
-parent's interquartile spread, else "not met". With ``--trace-seeds``,
-the same figures of every per-layer metric go under ``per_layer``. It
-names the parent commit and the git tree of ``src/`` on both sides.
+parent's interquartile spread, else "not met". For information beside
+the verdict, which it does not enter, ``<metric>_pair_ratios`` gives the
+min, quartiles and max of the change/parent ratio within each pair.
+With ``--trace-seeds``, the same figures of every per-layer metric go
+under ``per_layer``. It names the parent commit and the git tree of
+``src/`` on both sides.
 """
 
 from __future__ import annotations
@@ -53,7 +56,9 @@ METHOD = (
     "(host-normalized, see benchmarks/README.md), and peak_rss_mb is the "
     "process's ru_maxrss; median and quartiles (statistics.quantiles, n=4) are "
     "over runs; on the claimed workload, <claim>_pairs_won counts the seed pairs "
-    "in which the change's value of the claimed metric was better; claim_verdict "
+    "in which the change's value of the claimed metric was better, and "
+    "<claim>_pair_ratios the min, quartiles and max of its change/parent ratio per "
+    "pair (informational, not part of the verdict); claim_verdict "
     "is met when the change won at least 9/10 of the pairs and its median beats "
     "the parent's by more than the parent's interquartile spread; regression sets each end-to-end "
     "metric's change of median against its BENCHMARK.json bound"
@@ -185,6 +190,10 @@ def summarize(pairs, claim=None, better=None):
                 if claim in res["parent"]["metrics"] and claim in res["change"]["metrics"]]
         won = sum(c < p if better == "lower" else c > p for p, c in both)
         entry[f"{claim}_pairs_won"] = {"change": won, "pairs": len(both)}
+        ratios = [c / p for p, c in both if p]
+        entry[f"{claim}_pair_ratios"] = dict(
+            quartiles(ratios), min=min(ratios, default=None), max=max(ratios, default=None)
+        )
         entry["claim_verdict"] = claim_verdict(
             entry["metrics"].get(claim), won, len(both), better
         )
@@ -351,6 +360,10 @@ def main(argv=None):
             won = entry[f"{claim['metric']}_pairs_won"]
             print(f"  {claim['metric']} better in {won['change']} of {won['pairs']} pairs: "
                   f"claim {entry['claim_verdict']}")
+            r = entry[f"{claim['metric']}_pair_ratios"]
+            if r["n"]:
+                print(f"  change/parent per pair: min x{r['min']:.4f}, quartiles "
+                      f"x{r['q1']:.4f} x{r['median']:.4f} x{r['q3']:.4f}, max x{r['max']:.4f}")
         for name, r in entry["regression"].items():
             if r["verdict"] == "unmeasured":
                 print(f"  {name}: unmeasured")
