@@ -229,29 +229,31 @@ class Encoder:
             EncoderBlock(cfg, rng_params, rng_protos, f"block{i}")
             for i in range(cfg.n_layers)
         ]
-        self.proj = None
-        self._init_projection(rng_params)
-        self.classifier = None
-        self.n_classes = None
-
-    def _init_projection(self, rng):
-        d = self.cfg.d_model
         self.proj = (
-            Linear(d, d, rng, "proj.fc1"),
-            Linear(d, self.cfg.proj_dim, rng, "proj.fc2"),
+            Linear(d, d, rng_params, "proj.fc1"),
+            Linear(d, cfg.proj_dim, rng_params, "proj.fc2"),
         )
+        self.classifier = None
+
+    @property
+    def n_classes(self):
+        """The classifier's output width, or None before one is attached."""
+        return None if self.classifier is None else self.classifier.w.shape[1]
 
     def attach_classifier(self, n_classes, rng):
         self.classifier = Linear(self.cfg.d_model, n_classes, rng, "classifier")
-        self.n_classes = n_classes
 
     def drop_projection_head(self):
         self.proj = None
 
     # -- forward -------------------------------------------------------
 
-    def represent(self, x, train=False, rng=None, dataset_ids=None):
-        """Mean-pooled token representation [B, d_model] before any head."""
+    def encode(self, x, mode, train=False, rng=None, dataset_ids=None):
+        """The phase head on the mean-pooled token representation
+        [B, d_model]: projection for pretraining, classifier logits for
+        fine-tune/eval."""
+        if mode not in ("pretrain", "finetune", "eval"):
+            raise ContractError(f"unknown encode mode {mode!r}")
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1:] != (1, self.cfg.input_len):
             raise ShapeError(f"expected [B, 1, {self.cfg.input_len}] batch, got {x.shape}")
@@ -261,14 +263,7 @@ class Encoder:
         h = self.patch_embed(tokens) + self.pos_embed
         for block in self.blocks:
             h = block(h, train, rng, dataset_ids)
-        return h.mean(axis=1)
-
-    def encode(self, x, mode, train=False, rng=None, dataset_ids=None):
-        """Representation plus the phase head: projection for pretraining,
-        classifier logits for fine-tune/eval."""
-        if mode not in ("pretrain", "finetune", "eval"):
-            raise ContractError(f"unknown encode mode {mode!r}")
-        pooled = self.represent(x, train=train, rng=rng, dataset_ids=dataset_ids)
+        pooled = h.mean(axis=1)
         if mode == "pretrain":
             if self.proj is None:
                 raise ContractError("projection head was dropped; cannot pretrain")

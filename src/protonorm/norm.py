@@ -212,7 +212,7 @@ class ProtoNormLayer:
         self.beta = Tensor(np.zeros((n, d)), requires_grad=True)
         self.mode = mode
         self.epsilon = float(epsilon)
-        self.last_assignments = None  # diagnostics, refreshed each forward
+        self.last_assignments = None  # diagnostics: each forward's own arrays, read only
         self.last_features = None
 
     @property
@@ -241,7 +241,7 @@ class ProtoNormLayer:
         elif self.mode == "dataset-indexed":
             if dataset_ids is None:
                 raise ContractError("dataset-indexed mode requires dataset_ids")
-            idx = np.asarray(dataset_ids, dtype=np.int64)
+            idx = np.array(dataset_ids, dtype=np.int64)  # never the caller's array
             if idx.shape != (x_data.shape[0],):
                 raise ContractError(
                     f"dataset_ids shape {idx.shape} != batch size {x_data.shape[0]}"
@@ -271,8 +271,7 @@ class ProtoNormLayer:
                 f"expected [B, T, {self.dim}] input, got {tuple(x.shape)}"
             )
         idx, features = self.select_indices(x.data, dataset_ids)
-        self.last_assignments = idx.copy()
-        self.last_features = features.copy()
+        self.last_assignments, self.last_features = idx, features
         if train and self.mode == "proto-gated" and not self.bank.frozen:
             self.bank.stage(features, idx)
         return layer_norm(x, idx, self.gamma, self.beta, self.epsilon)

@@ -599,7 +599,6 @@ class FinetuneResult:
     encoder: object
     metrics: Metrics
     rows: list  # (step, lr, train_loss)
-    val_history: list  # (epoch, val_accuracy)
     best_epoch: int
 
 
@@ -638,7 +637,6 @@ def finetune(
 
     all_params = encoder.parameters()
     rows = []
-    val_history = []
     best_acc = -1.0
     best_epoch = -1
     best_params = None
@@ -660,7 +658,6 @@ def finetune(
                 raise ContractError(f"frozen prototype bank {i} mutated during fine-tuning")
         if len(val_ds):
             acc = evaluate(encoder, val_ds).accuracy
-            val_history.append((epoch, acc))
             if acc > best_acc:
                 best_acc = acc
                 best_epoch = epoch
@@ -674,4 +671,4 @@ def finetune(
         for k, t in all_params.items():
             t.data = best_params[k]
     metrics = evaluate(encoder, test_ds)
-    return FinetuneResult(encoder, metrics, rows, val_history, best_epoch)
+    return FinetuneResult(encoder, metrics, rows, best_epoch)

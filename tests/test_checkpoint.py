@@ -227,6 +227,18 @@ def test_classifier_and_dropped_head_roundtrip(tmp_path):
     assert np.array_equal(enc.classifier.w.data, enc2.classifier.w.data)
 
 
+def test_n_classes_is_the_classifier_width(tmp_path):
+    enc, state, _ = trained_encoder(seed=7)
+    assert enc.n_classes is None
+    save_checkpoint(tmp_path / "a.ckpt", enc, state, CONFIG)
+    assert load_checkpoint(tmp_path / "a.ckpt")[0].n_classes is None
+    enc.attach_classifier(3, np.random.default_rng(2))
+    assert enc.n_classes == enc.classifier.w.shape[1] == 3
+    save_checkpoint(tmp_path / "b.ckpt", enc, state, CONFIG)
+    enc2, _, _, meta = load_checkpoint(tmp_path / "b.ckpt")
+    assert enc2.n_classes == meta["n_classes"] == 3
+
+
 def _stray_moment(arrays):
     arrays["optim.m.nowhere"] = arrays["optim.v.nowhere"] = np.zeros(3)
 

@@ -314,6 +314,10 @@ def test_dataset_indexed_routes_strictly_by_id():
     layer.forward(x, dataset_ids=ids)
     assert np.array_equal(layer.last_assignments, ids)
 
+    assert not np.shares_memory(layer.last_assignments, ids)
+    ids[:] = 0  # the caller reuses its batch: the layer's record stays
+    assert np.array_equal(layer.last_assignments, [0, 1, 2, 0, 1, 2])
+
     with pytest.raises(ContractError):
         layer.forward(x)  # ids required
     with pytest.raises(ContractError):
