@@ -48,6 +48,7 @@ from .norm import (
 )
 from .tensor import (
     Tensor,
+    arithmetic_fingerprint,
     concat,
     dropout,
     exp,

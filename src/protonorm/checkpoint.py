@@ -201,13 +201,26 @@ def _read_sections(blob):
     return sections
 
 
+class _ZeroDraws:
+    """The parameter generator of an encoder whose every parameter the file
+    then replaces: a normal draw is zeros, so building it draws nothing.
+    Prototype banks still take a real generator, as their Gram-Schmidt
+    needs independent rows."""
+
+    @staticmethod
+    def standard_normal(size):
+        return np.zeros(size)
+
+
 def load_checkpoint(path):
     """Rebuild (encoder, state, config_dict, meta) from a checkpoint.
 
     Verifies magic, schema version, per-section CRCs, and the config
     digest before touching any payload; corrupt files never load
     partially. Every parameter array, and each optimizer moment pair,
-    must name a parameter of the config-built encoder and have its shape.
+    must name a parameter of the config-built encoder and have its shape;
+    that encoder draws no weights (``_ZeroDraws``), as the file's arrays
+    replace them all.
     A file that cannot be read is an ``InputError`` naming the path.
     """
     try:
@@ -227,12 +240,12 @@ def load_checkpoint(path):
     meta = state_doc["meta"]
 
     enc_cfg = EncoderConfig(**config_dict["encoder"])
-    scratch = np.random.default_rng(0)
-    encoder = Encoder(enc_cfg, scratch, scratch)
+    zeros = _ZeroDraws()
+    encoder = Encoder(enc_cfg, zeros, np.random.default_rng(0))
     if not meta.get("has_projection", True):
         encoder.drop_projection_head()
     if meta.get("n_classes") is not None:
-        encoder.attach_classifier(int(meta["n_classes"]), scratch)
+        encoder.attach_classifier(int(meta["n_classes"]), zeros)
 
     params = encoder.parameters()
     saved = {k[len("param.") :] for k in arrays if k.startswith("param.")}

@@ -4,9 +4,10 @@ Subcommands: generate, pretrain, finetune, eval, sweep. Every command
 resolves one RunConfig (file + env + flags), works inside a run directory
 named by the config digest and seed, writes the exact resolved config
 next to its outputs, and keeps a status file (running / ok / failed /
-interrupted) so a run that did not finish is visibly flagged; Ctrl-C ends
-any command with one ``interrupted`` line and exit status 130. Re-running
-a command with the same config and seed reproduces its deterministic
+interrupted, with the arithmetic fingerprint) so a run that did not
+finish is visibly flagged; Ctrl-C ends any command with one
+``interrupted`` line and exit status 130. Re-running a command with the
+same config and seed on the same arithmetic reproduces its deterministic
 outputs byte for byte (the sweep's runtime column is the one timed, hence
 non-deterministic, field).
 """
@@ -37,6 +38,7 @@ from .data import (
 )
 from .encoder import Encoder, count_parameters
 from .errors import ConfigError, InputError, ProtoNormError
+from .tensor import arithmetic_fingerprint
 from .training import (
     RngStreams,
     TrainState,
@@ -59,8 +61,8 @@ def _write_json(path, obj):
     write_atomic(path, text.encode("utf-8"))
 
 
-def _write_status(run_dir, status, error=None):
-    doc = {"status": status}
+def _write_status(run_dir, status, arithmetic, error=None):
+    doc = {"status": status, "arithmetic_fingerprint": arithmetic}
     if error is not None:
         doc["error"] = error
     _write_json(os.path.join(run_dir, "status.json"), doc)
@@ -71,20 +73,23 @@ def _run(out, command, cfg):
     """The run directory of one command, named by the config digest and
     seed: it is created with status ``running`` and the resolved config,
     then marked ``failed`` with the error or ``interrupted`` by Ctrl-C,
-    either re-raised, or ``ok``."""
+    either re-raised, or ``ok``. Every status names the arithmetic the
+    run computed with, as ``arithmetic_fingerprint``: its outputs are
+    reproducible byte for byte on that arithmetic."""
     run_dir = os.path.join(out, f"{command}-{cfg.digest()[:12]}-seed{cfg.seed}")
     os.makedirs(run_dir, exist_ok=True)
-    _write_status(run_dir, "running")
+    arithmetic = arithmetic_fingerprint()
+    _write_status(run_dir, "running", arithmetic)
     _write_json(os.path.join(run_dir, "resolved_config.json"), cfg.resolved)
     try:
         yield run_dir
     except Exception as e:
-        _write_status(run_dir, "failed", error=f"{type(e).__name__}: {e}")
+        _write_status(run_dir, "failed", arithmetic, error=f"{type(e).__name__}: {e}")
         raise
     except KeyboardInterrupt:
-        _write_status(run_dir, "interrupted")
+        _write_status(run_dir, "interrupted", arithmetic)
         raise
-    _write_status(run_dir, "ok")
+    _write_status(run_dir, "ok", arithmetic)
 
 
 def _write_csv(path, header, rows):

@@ -393,11 +393,23 @@ def batches(pool, batch_size):
         yield union[start : start + batch_size]
 
 
+def _check_finite(pool):
+    """Refuse a series of the pool (a Dataset or a list of them) that holds
+    a NaN or an infinity, with an ``InputError`` naming its dataset and its
+    index there."""
+    for ds in [pool] if isinstance(pool, Dataset) else pool:
+        if not np.isfinite(ds.series).all():
+            finite = np.isfinite(ds.series).reshape(len(ds), -1).all(axis=1)
+            raise InputError(
+                f"{ds.name}: sample {int(np.argmin(finite))} holds a non-finite value"
+            )
+
+
 def flatten_pool(pool):
     """The union of a pool as one Batch, in pool order; the pool's datasets
     must all hold series of one shape and finite values only. A series
-    with a NaN or an infinity is an ``InputError`` naming its dataset and
-    its index there, before any model sees it."""
+    with a NaN or an infinity is refused by ``_check_finite``, before any
+    model sees it."""
     datasets = [ds for ds in ([pool] if isinstance(pool, Dataset) else pool) if len(ds)]
     if not datasets:
         raise InputError("empty pool: no samples to batch")
@@ -407,14 +419,8 @@ def flatten_pool(pool):
                 f"pool is not homogeneous: {ds.name} has shape {ds.shape}, "
                 f"expected {datasets[0].shape}"
             )
+    _check_finite(datasets)
     x = np.concatenate([ds.series for ds in datasets])
-    if not np.isfinite(x).all():
-        for ds in datasets:
-            finite = np.isfinite(ds.series).reshape(len(ds), -1).all(axis=1)
-            if not finite.all():
-                raise InputError(
-                    f"{ds.name}: sample {int(np.argmin(finite))} holds a non-finite value"
-                )
     labels = np.concatenate([ds.labels for ds in datasets])
     ids = np.repeat([ds.dataset_id for ds in datasets], [len(ds) for ds in datasets])
     return Batch(x, labels, ids.astype(np.int64))

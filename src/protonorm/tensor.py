@@ -30,12 +30,16 @@ Conventions:
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 
 from .errors import GraphError, InputError, ShapeError
 
 __all__ = [
     "Tensor",
+    "arithmetic_fingerprint",
     "no_grad",
     "concat",
     "dropout",
@@ -512,3 +516,25 @@ def logsumexp(x, axis=-1):
     shape = list(out.shape)
     shape.pop(axis % x.ndim)
     return out.reshape(shape)
+
+
+def arithmetic_fingerprint():
+    """A 16-hex-digit hash naming the arithmetic this process computes with.
+
+    Outputs are bitwise reproducible only on the same arithmetic: the BLAS
+    kernel chosen at run time and numpy's SIMD dispatch both change the
+    last bits of a run. The hash covers the bytes of fixed-seed probes of
+    the ops the model uses (GEMMs of 64x64x64, 256x64x256 and 33x17x5,
+    which tell the OpenBLAS kernels apart, then ``exp``, ``log``, ``sqrt``
+    and a ``mean``), the numpy version, and the BLAS entry of
+    ``np.show_config``, which names the build target but not the kernel."""
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for m, k, n in ((64, 64, 64), (256, 64, 256), (33, 17, 5)):
+        digest.update((rng.standard_normal((m, k)) @ rng.standard_normal((k, n))).tobytes())
+    x = rng.uniform(0.1, 10.0, (32, 64))
+    for probe in (np.exp(x), np.log(x), np.sqrt(x), x.mean(axis=1)):
+        digest.update(probe.tobytes())
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas")
+    digest.update(json.dumps([np.__version__, blas], sort_keys=True).encode("utf-8"))
+    return digest.hexdigest()[:16]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .contrastive import _check_labels, augment_pair, cross_entropy, nt_xent, total_loss
-from .data import batches, flatten_pool, link_atomic
+from .data import _check_finite, batches, flatten_pool, link_atomic
 from .errors import (
     ConfigError,
     ContractError,
@@ -472,7 +472,9 @@ def pretrain(
     none in memory: the returned state has no moments and no parameter
     has a ``.grad``. An interrupted run keeps both, so it resumes bitwise.
     A state that has taken steps but holds no moments, such as a
-    completed run's, raises ``ContractError`` before any step.
+    completed run's, raises ``ContractError`` before any step. So does a
+    series holding a non-finite value in ``pool`` or ``val_pool``, as an
+    ``InputError`` naming its dataset and index.
     """
     from .checkpoint import save_checkpoint
 
@@ -486,6 +488,8 @@ def pretrain(
         )
     streams = state.streams
     union = flatten_pool(pool)
+    if val_pool is not None:
+        _check_finite(val_pool)
     total_steps = _schedule(optim_cfg, epochs, len(union), batch_size)
     all_params = encoder.parameters()
     rows = []
@@ -620,9 +624,12 @@ def finetune(
     cross-entropy, keeps the best validation-accuracy parameters (copied
     into one set of buffers), and reports held-out test metrics. Prototype
     bit-stability is asserted every epoch. It returns with no parameter
-    holding a ``.grad``.
+    holding a ``.grad``. A series holding a non-finite value in the
+    labeled subset or the validation or test split raises ``InputError``,
+    naming its dataset and index, before the encoder changes.
     """
     train_ds, val_ds, test_ds = splits
+    _check_finite([val_ds, test_ds])
     state = TrainState(streams=RngStreams.from_seed(seed))
     streams = state.streams
     n_classes = int(max((ds.labels.max() for ds in splits if len(ds)), default=0)) + 1

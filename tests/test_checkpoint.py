@@ -215,9 +215,16 @@ def test_not_a_checkpoint_rejected(tmp_path):
 
 
 def test_classifier_and_dropped_head_roundtrip(tmp_path):
+    """``n_classes`` reads the classifier's width: None without a
+    classifier and the attached width with one, each also after a round
+    trip."""
     enc, state, _ = trained_encoder(seed=6)
     enc.drop_projection_head()
+    assert enc.n_classes is None
+    save_checkpoint(tmp_path / "g.ckpt", enc, state, CONFIG)
+    assert load_checkpoint(tmp_path / "g.ckpt")[0].n_classes is None
     enc.attach_classifier(4, np.random.default_rng(1))
+    assert enc.n_classes == enc.classifier.w.shape[1] == 4
     path = tmp_path / "h.ckpt"
     save_checkpoint(path, enc, state, CONFIG)
     enc2, _, _, meta = load_checkpoint(path)
@@ -225,18 +232,6 @@ def test_classifier_and_dropped_head_roundtrip(tmp_path):
     assert enc2.n_classes == 4
     assert meta["n_classes"] == 4 and meta["has_projection"] is False
     assert np.array_equal(enc.classifier.w.data, enc2.classifier.w.data)
-
-
-def test_n_classes_is_the_classifier_width(tmp_path):
-    enc, state, _ = trained_encoder(seed=7)
-    assert enc.n_classes is None
-    save_checkpoint(tmp_path / "a.ckpt", enc, state, CONFIG)
-    assert load_checkpoint(tmp_path / "a.ckpt")[0].n_classes is None
-    enc.attach_classifier(3, np.random.default_rng(2))
-    assert enc.n_classes == enc.classifier.w.shape[1] == 3
-    save_checkpoint(tmp_path / "b.ckpt", enc, state, CONFIG)
-    enc2, _, _, meta = load_checkpoint(tmp_path / "b.ckpt")
-    assert enc2.n_classes == meta["n_classes"] == 3
 
 
 def _stray_moment(arrays):

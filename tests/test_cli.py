@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from protonorm import (
+    arithmetic_fingerprint,
     evaluate,
     load_checkpoint,
     load_ucr_tsv,
@@ -177,7 +178,9 @@ def test_pretrain_pool_of_three_lengths_is_brought_to_input_len(tmp_path):
     out = tmp_path / "runs"
     assert run(["pretrain", "--config", cfg_path, "--out", out]) == 0
     run_dir = only_run_dir(out, "pretrain-")
-    assert json.loads(open(os.path.join(run_dir, "status.json")).read()) == {"status": "ok"}
+    assert json.loads(open(os.path.join(run_dir, "status.json")).read()) == {
+        "status": "ok", "arithmetic_fingerprint": arithmetic_fingerprint()
+    }
 
     pool, val_pool = _load_pretrain_pool(load_run_config(cfg_path, env={}))
     assert val_pool is None
@@ -213,7 +216,7 @@ def test_ctrl_c_marks_the_run_interrupted_without_a_traceback(tmp_path, capsys, 
     assert len(steps) == 3
     assert capsys.readouterr().err == "interrupted\n"
     status = json.loads(open(os.path.join(run_dir, "status.json")).read())
-    assert status == {"status": "interrupted"}
+    assert status == {"status": "interrupted", "arithmetic_fingerprint": arithmetic_fingerprint()}
 
 
 @pytest.mark.parametrize("source", ["missing.tsv", "directory", "latin1.tsv"])
@@ -625,7 +628,7 @@ def test_interrupted_sweep_keeps_the_legs_it_finished(tmp_path, capsys, monkeypa
     assert legs == [1, 2, 3] and capsys.readouterr().err == "interrupted\n"
     sweep_dir = only_run_dir(out, "sweep-n_prototypes-")
     status = json.loads(open(os.path.join(sweep_dir, "status.json")).read())
-    assert status == {"status": "interrupted"}
+    assert status == {"status": "interrupted", "arithmetic_fingerprint": arithmetic_fingerprint()}
     lines = open(os.path.join(sweep_dir, "sweep.csv")).read().splitlines()
     assert lines[0] == "axis,value,accuracy,macro_f1,param_count,runtime_s,status"
     assert [line.split(",")[:2] for line in lines[1:]] == [["n_prototypes", "1"],

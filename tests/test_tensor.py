@@ -2,6 +2,10 @@
 graph discipline."""
 
 import gc
+import os
+import re
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -13,6 +17,7 @@ from protonorm import (
     InputError,
     ShapeError,
     Tensor,
+    arithmetic_fingerprint,
     concat,
     dropout,
     exp,
@@ -550,3 +555,34 @@ def test_dropout_in_place_matches_the_out_of_place_formula(layout):
     assert 0 < keep.sum() < keep.size
     assert np.array_equal(out, x0 * (keep / (1.0 - p)))
     assert np.array_equal(dx, g * (keep / (1.0 - p)))
+
+
+def _fingerprint_in_a_subprocess(**env):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import protonorm; print(protonorm.arithmetic_fingerprint())"],
+        env=dict(os.environ, PYTHONPATH=src, **env),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return proc.stdout.strip()
+
+
+def test_arithmetic_fingerprint_is_stable_within_and_across_processes():
+    here = arithmetic_fingerprint()
+    assert re.fullmatch(r"[0-9a-f]{16}", here)
+    assert arithmetic_fingerprint() == here
+    assert _fingerprint_in_a_subprocess() == here
+
+
+def test_another_blas_kernel_has_another_fingerprint():
+    """OpenBLAS picks its kernel at run time; forcing the Sandybridge one on
+    a CPU with AVX2, whose default kernel is a later one, changes the
+    GEMM probes' last bits."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas") or {}
+    features = np._core._multiarray_umath.__cpu_features__
+    if "openblas" not in blas.get("name", "") or not features.get("AVX2"):
+        pytest.skip("needs OpenBLAS on a CPU with AVX2")
+    assert _fingerprint_in_a_subprocess(OPENBLAS_CORETYPE="Sandybridge") != arithmetic_fingerprint()

@@ -1194,3 +1194,41 @@ def test_a_non_finite_series_is_refused_naming_its_dataset_and_sample():
     test.series[3, 0, 0] = np.inf
     with pytest.raises(InputError, match=r"^separable: sample 3 holds a non-finite value$"):
         evaluate(result.encoder, test)
+
+
+def test_validation_and_test_splits_are_refused_before_the_first_step(monkeypatch):
+    """A NaN in pretrain's validation pool, or in fine-tuning's test split,
+    is refused before the loop takes its first step, naming the dataset and
+    the sample, not when that split is first evaluated."""
+    from protonorm import training
+
+    steps = []
+    real_step = training._step
+    monkeypatch.setattr(
+        training, "_step", lambda *a, **kw: steps.append(1) or real_step(*a, **kw)
+    )
+
+    train, val = tiny_pool(seed=16)
+    val.series[2, 0, 7] = np.nan
+    cfg, enc, streams = desk_encoder(seed=16)
+    before = {k: t.data.copy() for k, t in enc.parameters().items()}
+    state = TrainState(streams=streams)
+    with pytest.raises(InputError, match=r"^cluster1: sample 2 holds a non-finite value$"):
+        pretrain(
+            [train], enc, AugmentConfig(), NtXentConfig(), OptimConfig(warmup_steps=1),
+            epochs=1, batch_size=8, seed=16, state=state, val_pool=[val],
+        )
+    assert state.step == 0 and not steps
+    assert all(np.array_equal(t.data, before[k]) for k, t in enc.parameters().items())
+
+    cfg, enc, streams = desk_encoder(seed=17)
+    train, val, test = separable_task(seed=17)
+    test = dataclasses.replace(test, series=test.series.copy())
+    test.series[4, 0, 0] = -np.inf
+    with pytest.raises(InputError, match=r"^separable: sample 4 holds a non-finite value$"):
+        finetune(
+            (train, val, test), enc, OptimConfig(warmup_steps=2),
+            epochs=2, batch_size=16, n_labeled="all", seed=17,
+        )
+    assert not steps
+    assert enc.proj is not None and enc.classifier is None
