@@ -25,8 +25,9 @@ affine pair of route i) and, in proto-gated mode alone, ``.prototypes``
 [n, d]. It holds no routing counts, and its embedded encoder config has
 no ``channels`` field. Files of any other version raise ``VersionError``.
 
-A file is written whole or not at all through ``data.write_atomic``, so
-an interrupted save leaves the previous file intact.
+A save writes each array from its own memory through ``data.write_atomic``,
+whole or not at all, so an interrupted save leaves the previous file
+intact; a load reads the file once and copies each array out of it once.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = ["SCHEMA_VERSION", "load_checkpoint", "save_checkpoint"]
 
 MAGIC = b"PNORMCK1"
 SCHEMA_VERSION = 5
+HEADER = struct.Struct("<8sI32sI")  # magic, schema version, config digest, section count
 
 
 def _canonical_json(obj):
@@ -56,33 +58,29 @@ def _canonical_json(obj):
 
 
 def _pack_arrays(arrays):
+    """The arrays section as buffers: each record's header, then its array's own bytes."""
     parts = [struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, order="C")  # ascontiguousarray would make a 0-d array 1-d
         name_b = name.encode("utf-8")
         dtype_b = arr.dtype.str.encode("ascii")
-        parts.append(struct.pack("<H", len(name_b)))
-        parts.append(name_b)
-        parts.append(struct.pack("<H", len(dtype_b)))
-        parts.append(dtype_b)
-        parts.append(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            parts.append(struct.pack("<Q", dim))
-        parts.append(arr.tobytes())
-    return b"".join(parts)
+        fmt = f"<H{len(name_b)}sH{len(dtype_b)}sB{arr.ndim}Q"
+        fields = (len(name_b), name_b, len(dtype_b), dtype_b, arr.ndim, *arr.shape)
+        parts.append(struct.pack(fmt, *fields))
+        parts.append(arr.reshape(-1).view(np.uint8))
+    return parts
 
 
 def _unpack_arrays(payload):
-    view = memoryview(payload)
+    """Each array of the arrays section as a read-only view of ``payload``."""
     off = 0
 
     def take(n):
         nonlocal off
-        if off + n > len(view):
-            raise IntegrityError("arrays section truncated")
-        out = view[off : off + n]
         off += n
-        return out
+        if off > len(payload):
+            raise IntegrityError("arrays section truncated")
+        return payload[off - n : off]
 
     (count,) = struct.unpack("<I", take(4))
     arrays = {}
@@ -92,10 +90,9 @@ def _unpack_arrays(payload):
         (dtype_len,) = struct.unpack("<H", take(2))
         dtype = np.dtype(bytes(take(dtype_len)).decode("ascii"))
         (ndim,) = struct.unpack("<B", take(1))
-        shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
-        nbytes = dtype.itemsize * int(np.prod(shape)) if ndim else dtype.itemsize
-        arrays[name] = np.frombuffer(take(nbytes), dtype=dtype).reshape(shape).copy()
-    if off != len(view):
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        arrays[name] = np.frombuffer(take(dtype.itemsize * math.prod(shape)), dtype).reshape(shape)
+    if off != len(payload):
         raise IntegrityError("arrays section has trailing bytes")
     return arrays
 
@@ -142,43 +139,40 @@ def save_checkpoint(path, encoder, state, config_dict=None, meta=None):
 
     config_payload = _canonical_json(config_dict)
     sections = [
-        ("config", config_payload),
+        ("config", [config_payload]),
         ("arrays", _pack_arrays(arrays)),
-        ("state", _canonical_json(state_doc)),
+        ("state", [_canonical_json(state_doc)]),
     ]
     digest = hashlib.sha256(config_payload).digest()
-
-    header = [MAGIC, struct.pack("<I", SCHEMA_VERSION), digest]
-    header.append(struct.pack("<I", len(sections)))
-    for name, payload in sections:
+    header = [HEADER.pack(MAGIC, SCHEMA_VERSION, digest, len(sections))]
+    for name, parts in sections:
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
         name_b = name.encode("ascii")
-        header.append(struct.pack("<H", len(name_b)))
-        header.append(name_b)
-        header.append(struct.pack("<Q", len(payload)))
-        header.append(struct.pack("<I", zlib.crc32(payload)))
-    write_atomic(path, b"".join(header) + b"".join(p for _, p in sections))
+        length = sum(len(part) for part in parts)
+        header.append(struct.pack(f"<H{len(name_b)}sQI", len(name_b), name_b, length, crc))
+    write_atomic(path, header + [part for _, parts in sections for part in parts])
     return path
 
 
 def _read_sections(blob):
-    if len(blob) < 48 or blob[:8] != MAGIC:
+    if len(blob) < HEADER.size or blob[:8] != MAGIC:
         raise IntegrityError("not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", blob[8:12])
+    _, version, digest, count = HEADER.unpack_from(blob)
     if version != SCHEMA_VERSION:
         raise VersionError(
             f"checkpoint schema version {version} unsupported "
             f"(this build reads version {SCHEMA_VERSION})"
         )
-    digest = blob[12:44]
-    (count,) = struct.unpack("<I", blob[44:48])
-    off = 48
+    off = HEADER.size
     table = []
     for _ in range(count):
         if off + 2 > len(blob):
             raise IntegrityError("checkpoint header truncated")
         (name_len,) = struct.unpack("<H", blob[off : off + 2])
         off += 2
-        name = blob[off : off + name_len].decode("ascii")
+        name = bytes(blob[off : off + name_len]).decode("ascii")
         off += name_len
         length, crc = struct.unpack("<QI", blob[off : off + 12])
         off += 12
@@ -219,13 +213,13 @@ def load_checkpoint(path):
     digest before touching any payload; corrupt files never load
     partially. Every parameter array, and each optimizer moment pair,
     must name a parameter of the config-built encoder and have its shape;
-    that encoder draws no weights (``_ZeroDraws``), as the file's arrays
-    replace them all.
+    that encoder draws no weights (``_ZeroDraws``), and each parameter is
+    copied from the file into the array it allocated.
     A file that cannot be read is an ``InputError`` naming the path.
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            blob = memoryview(fh.read())
     except OSError as e:
         raise InputError(f"{path}: cannot read the checkpoint ({e.strerror or e})") from e
     try:
@@ -234,9 +228,9 @@ def load_checkpoint(path):
         raise
     except Exception as e:  # corrupted header fields parse as garbage
         raise IntegrityError(f"malformed checkpoint header: {e}") from e
-    config_dict = json.loads(sections["config"].decode("utf-8"))
+    config_dict = json.loads(bytes(sections["config"]))
     arrays = _unpack_arrays(sections["arrays"])
-    state_doc = json.loads(sections["state"].decode("utf-8"))
+    state_doc = json.loads(bytes(sections["state"]))
     meta = state_doc["meta"]
 
     enc_cfg = EncoderConfig(**config_dict["encoder"])
@@ -262,7 +256,7 @@ def load_checkpoint(path):
             raise IntegrityError(
                 f"parameter {name!r} shape {arr.shape} != expected {t.data.shape}"
             )
-        t.data = arr.astype(np.float64, copy=False)
+        t.data[...] = arr
 
     for i, layer in enumerate(encoder.protonorm_layers()):
         if layer.bank is not None:
@@ -280,16 +274,17 @@ def load_checkpoint(path):
                 f"optimizer array {key!r} shape {arr.shape} != parameter shape "
                 f"{params[name].data.shape}"
             )
-        moments.setdefault(name, [None, None])["mv".index(kind)] = arr
+        moments.setdefault(name, [None, None])["mv".index(kind)] = arr.copy()
     for name, pair in moments.items():
         if any(a is None for a in pair):
             raise IntegrityError(f"parameter {name!r} has only one optimizer moment")
+    order = arrays.get("loop.batch_order")
     state = TrainState(
         streams=RngStreams.from_state(state_doc["rng"]),
         step=state_doc["step"],
         epoch=state_doc["epoch"],
         batch_idx=state_doc["batch_idx"],
-        batch_order=arrays.get("loop.batch_order"),
+        batch_order=None if order is None else order.copy(),
         moments=moments,
         best_val=(
             math.inf if state_doc["best_val"] is None else state_doc["best_val"]

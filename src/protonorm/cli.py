@@ -58,7 +58,7 @@ SWEEP_AXES = {"n_prototypes": "prototypes", "lambda": "lambda_orth"}
 
 def _write_json(path, obj):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    write_atomic(path, text.encode("utf-8"))
+    write_atomic(path, [text.encode("utf-8")])
 
 
 def _write_status(run_dir, status, arithmetic, error=None):
@@ -97,7 +97,7 @@ def _write_csv(path, header, rows):
     writer = csv.writer(text)
     writer.writerow(header)
     writer.writerows(rows)
-    write_atomic(path, text.getvalue().encode("utf-8"))
+    write_atomic(path, [text.getvalue().encode("utf-8")])
 
 
 def _pretrain(cfg, pool, val_pool, **outputs):
@@ -224,10 +224,9 @@ def cmd_generate(cfg, out):
             fname = f"{ds.name}.tsv"
             save_ucr_tsv(ds, os.path.join(run_dir, fname))
             entries.append({"name": ds.name, "file": fname, "dataset_id": i, "sigma": sigma})
-        _write_json(
-            os.path.join(run_dir, "manifest.json"),
-            {"seed": cfg.seed, "datasets": entries},
-        )
+        arithmetic = arithmetic_fingerprint()  # the arithmetic the series were drawn with
+        manifest = {"seed": cfg.seed, "arithmetic_fingerprint": arithmetic, "datasets": entries}
+        _write_json(os.path.join(run_dir, "manifest.json"), manifest)
     return run_dir
 
 

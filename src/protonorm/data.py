@@ -254,15 +254,15 @@ def load_ucr_tsv(path, name=None, dataset_id=0, split="train", classes=None):
     )
 
 
-def write_atomic(path, data):
-    """Replace the file at ``path`` with the bytes ``data`` such that an
-    interrupt at any point leaves either the old file or the new one: the
-    bytes go to a temporary file next to the target, are synced to disk
-    and renamed over the target."""
+def write_atomic(path, parts):
+    """Replace the file at ``path`` with the buffers ``parts``, written in
+    order from their own memory, such that an interrupt at any point leaves
+    either the old file or the new one: the bytes go to a temporary file
+    next to the target, are synced to disk and renamed over the target."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines(parts)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -287,12 +287,14 @@ def link_atomic(source, path):
 def save_ucr_tsv(ds, path):
     """Write a dataset back out in the same text format, tab-separated
     (full float precision via repr, so regeneration is byte-deterministic),
-    whole or not at all."""
+    whole or not at all. A label is written as its value in ``ds.classes``
+    where the dataset records them, so the file loads to the same classes."""
+    values = ds.labels if ds.classes is None else np.asarray(ds.classes)[ds.labels]
     lines = []
-    for s, label in zip(ds.series, ds.labels):
+    for s, label in zip(ds.series, values):
         flat = s.ravel()
         lines.append("\t".join([str(int(label))] + [repr(float(v)) for v in flat]) + "\n")
-    write_atomic(path, "".join(lines).encode("utf-8"))
+    write_atomic(path, ["".join(lines).encode("utf-8")])
 
 
 def standardize_dataset(ds, target_len):

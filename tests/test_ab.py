@@ -120,12 +120,51 @@ def test_traced_pairs_give_per_layer_medians_without_absent_layers():
     assert gate["parent"]["runs"] == [0.5, 0.5] and gate["change_over_parent"] is None
 
 
+def _fake_package(dest, body):
+    """A checkout at ``dest`` whose ``src/protonorm`` package is ``body``."""
+    os.makedirs(os.path.join(dest, "src", "protonorm"))
+    with open(os.path.join(dest, "src", "protonorm", "__init__.py"), "w") as fh:
+        fh.write(body)
+
+
+# The fake change's fingerprint names the BLAS thread count it ran with.
+FAKE_FINGERPRINT = (
+    "import os\n"
+    "def arithmetic_fingerprint():\n"
+    "    return 'threads-' + os.environ['OPENBLAS_NUM_THREADS']\n"
+)
+
+
 def _fake_checkouts(monkeypatch, fake_run):
+    """The parent's package predates ``arithmetic_fingerprint``; the
+    change's has one."""
     monkeypatch.setattr(ab, "git", lambda *args, **kwargs: "0" * 40)
     monkeypatch.setattr(ab, "working_tree_src_tree", lambda: "1" * 40)
-    monkeypatch.setattr(ab, "export_parent", lambda sha, dest: os.makedirs(dest))
-    monkeypatch.setattr(ab, "export_working_tree", lambda dest: os.makedirs(dest))
+    monkeypatch.setattr(ab, "export_parent", lambda sha, dest: _fake_package(dest, ""))
+    monkeypatch.setattr(ab, "export_working_tree",
+                        lambda dest: _fake_package(dest, FAKE_FINGERPRINT))
     monkeypatch.setattr(ab, "run_benchmark", fake_run)
+
+
+def test_each_side_records_its_arithmetic_fingerprint(tmp_path, monkeypatch):
+    """Each side's fingerprint is computed by that checkout's own package
+    at one BLAS thread; a parent without the function reads null."""
+    def fake_run(checkout, side, workload, seed, seconds, trace=0):
+        return _result(700.0, 10.0), None
+
+    _fake_checkouts(monkeypatch, fake_run)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    out = tmp_path / "BENCH_test.json"
+    ab.main(["--parent", "HEAD", "--workload", "desk-pretrain", "--seeds", "1-2",
+             "--out", str(out), "--workdir", str(tmp_path)])
+    doc = json.loads(out.read_text())
+    assert doc["arithmetic_fingerprint"] == {"parent": None, "change": "threads-1"}
+
+
+def test_this_checkout_s_fingerprint_is_the_one_its_package_computes():
+    import protonorm
+
+    assert ab.checkout_fingerprint(ROOT) == protonorm.arithmetic_fingerprint()
 
 
 def test_a_claim_is_ruled_on_its_own_workload_alone(tmp_path, monkeypatch, capsys):

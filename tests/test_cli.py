@@ -64,6 +64,7 @@ def test_generate_writes_files_and_manifest(tmp_path):
     run_dir = only_run_dir(out, "generate-")
     manifest = json.loads((tmp_path / "runs" / os.path.basename(run_dir) / "manifest.json").read_text())
     assert len(manifest["datasets"]) == 2
+    assert manifest["arithmetic_fingerprint"] == arithmetic_fingerprint()
     for entry in manifest["datasets"]:
         assert os.path.exists(os.path.join(run_dir, entry["file"]))
     status = json.loads(open(os.path.join(run_dir, "status.json")).read())
@@ -385,10 +386,11 @@ def test_eval_with_a_test_file_loads_only_that_file(tmp_path, monkeypatch):
 
 def _relabelled(src, dest, keep=None):
     """``src`` with labels 0/1 written as 1/2, keeping only the rows whose
-    original label is ``keep`` when given."""
+    original label is ``keep`` when given: the classes are renamed, and
+    ``save_ucr_tsv`` writes each label as its class value."""
     ds = load_ucr_tsv(src)
     rows = np.arange(len(ds)) if keep is None else np.nonzero(ds.labels == keep)[0]
-    ds.series, ds.labels = ds.series[rows], ds.labels[rows] + 1
+    ds.series, ds.labels, ds.classes = ds.series[rows], ds.labels[rows], (1, 2)
     save_ucr_tsv(ds, dest)
     return len(rows)
 

@@ -142,6 +142,23 @@ def test_save_load_roundtrip(tmp_path):
         assert np.allclose(a, b, atol=1e-6)
 
 
+def test_save_writes_label_values_not_class_indices(tmp_path):
+    """A file labelled {1, 2} saves as {1, 2}, not as the dense indices
+    {0, 1}: it reloads to the same classes and labels, and the original
+    file loads with the saved file's classes."""
+    source = tmp_path / "source.tsv"
+    source.write_text("2\t0.5\t1.0\t3.0\n1\t2.0\t0.0\t1.0\n2\t1.0\t4.0\t0.0\n")
+    ds = load_ucr_tsv(source)
+    assert ds.classes == (1, 2) and ds.labels.tolist() == [1, 0, 1]
+    out = tmp_path / "saved.tsv"
+    save_ucr_tsv(ds, out)
+    assert [ln.split("\t")[0] for ln in out.read_text().splitlines()] == ["2", "1", "2"]
+    saved = load_ucr_tsv(out)
+    assert saved.classes == ds.classes
+    assert np.array_equal(saved.labels, ds.labels)
+    assert np.array_equal(load_ucr_tsv(source, classes=saved.classes).labels, ds.labels)
+
+
 def test_load_unreadable_file_names_the_path(tmp_path):
     for path in (tmp_path / "missing.tsv", tmp_path):
         with pytest.raises(InputError, match=re.escape(f"{path}: cannot read the file")):

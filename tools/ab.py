@@ -33,7 +33,10 @@ the verdict, which it does not enter, ``<metric>_pair_ratios`` gives the
 min, quartiles and max of the change/parent ratio within each pair.
 With ``--trace-seeds``, the same figures of every per-layer metric go
 under ``per_layer``. It names the parent commit and the git tree of
-``src/`` on both sides.
+``src/`` on both sides, and under ``arithmetic_fingerprint`` each side's
+``protonorm.arithmetic_fingerprint()`` at one BLAS thread, as the
+benchmark runs (null for a side whose package lacks the function): a
+same-bits claim holds only where the two match.
 """
 
 from __future__ import annotations
@@ -118,6 +121,20 @@ def export_working_tree(dest):
         target = os.path.join(dest, rel)
         os.makedirs(os.path.dirname(target), exist_ok=True)
         shutil.copy2(os.path.join(ROOT, rel), target)
+
+
+def checkout_fingerprint(checkout):
+    """``arithmetic_fingerprint()`` of the package under ``checkout``'s
+    ``src/``, computed in a fresh process at one BLAS thread, or None when
+    that package has no such function."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    code = ("import protonorm\n"
+            "f = getattr(protonorm, 'arithmetic_fingerprint', None)\n"
+            "print(f() if f else '')")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip() or None
 
 
 def run_benchmark(checkout, side, workload, seed, seconds, trace=0):
@@ -335,6 +352,7 @@ def main(argv=None):
         checkouts = {"parent": os.path.join(work, "parent"), "change": os.path.join(work, "change")}
         export_parent(sha, checkouts["parent"])
         export_working_tree(checkouts["change"])
+        doc["arithmetic_fingerprint"] = {s: checkout_fingerprint(checkouts[s]) for s in SIDES}
         for workload in args.workload:
             metric = claim["metric"] if claim and claim["workload"] == workload else None
             pairs = run_pairs(checkouts, workload, args.seeds, args.seconds, 0, metric, doc)
